@@ -2,16 +2,12 @@
 algorithms, with automatic portfolio construction and an experiment harness.
 """
 
-from ._kernels import BACKEND as kernel_backend
 from .core import (
     ConfigurationError,
     ContractViolationError,
     Dominance,
-    Individual,
-    ProblemSpec,
     SolutionSet,
     crowding_distance,
-    crowding_truncate,
     dominates,
     fast_nondominated_sort,
     nondominated_filter,
@@ -23,14 +19,10 @@ __all__ = [
     "ConfigurationError",
     "ContractViolationError",
     "Dominance",
-    "Individual",
-    "ProblemSpec",
     "SolutionSet",
     "crowding_distance",
-    "crowding_truncate",
     "dominates",
     "fast_nondominated_sort",
-    "kernel_backend",
     "nondominated_filter",
     "__version__",
 ]

@@ -1,255 +1,21 @@
 """Hot numeric kernels: pairwise dominance, sorting, crowding, hypervolume, IGD.
 
-Every kernel exists in two functionally equivalent variants: a loop
-implementation compiled with numba's ``@njit`` and a vectorized pure-numpy
-fallback.  The active backend is chosen once at import time; set
-``MOEAPAP_DISABLE_NUMBA=1`` to force the numpy path (it is also used
-automatically when numba is not importable).  ``benchmarks/bench_kernels.py``
-times both variants side by side.
+One vectorized numpy implementation per kernel.  ``tests/test_kernels.py``
+checks each against a brute-force oracle and ``benchmarks/bench_kernels.py``
+times them.
 
 All kernels assume minimization and float64 C-contiguous inputs.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-_ENV_FLAG = "MOEAPAP_DISABLE_NUMBA"
-
-
-def _numba_disabled() -> bool:
-    return os.environ.get(_ENV_FLAG, "").strip().lower() in {"1", "true", "yes", "on"}
-
-
-# ---------------------------------------------------------------------------
-# loop variants (numba-compilable, also valid plain Python)
-# ---------------------------------------------------------------------------
-
-
-def _nd_mask_loops(F):
-    # mask[i] is True iff no j strictly dominates i; equal rows are both kept
-    n, m = F.shape
-    mask = np.ones(n, dtype=np.bool_)
-    for i in range(n):
-        for j in range(n):
-            if j == i:
-                continue
-            le = True
-            lt = False
-            for k in range(m):
-                if F[j, k] > F[i, k]:
-                    le = False
-                    break
-                if F[j, k] < F[i, k]:
-                    lt = True
-            if le and lt:
-                mask[i] = False
-                break
-    return mask
-
-
-def _nds_ranks_loops(F):
-    # Deb's fast non-dominated sort, returning the rank (front index) per row.
-    n, m = F.shape
-    dom = np.zeros((n, n), dtype=np.bool_)
-    count = np.zeros(n, dtype=np.int64)
-    for i in range(n):
-        for j in range(i + 1, n):
-            i_le = True
-            i_lt = False
-            j_le = True
-            j_lt = False
-            for k in range(m):
-                a = F[i, k]
-                b = F[j, k]
-                if a > b:
-                    i_le = False
-                    j_lt = True
-                elif a < b:
-                    j_le = False
-                    i_lt = True
-            if i_le and i_lt:
-                dom[i, j] = True
-                count[j] += 1
-            elif j_le and j_lt:
-                dom[j, i] = True
-                count[i] += 1
-    ranks = np.full(n, -1, dtype=np.int64)
-    current = np.empty(n, dtype=np.int64)
-    ncur = 0
-    for i in range(n):
-        if count[i] == 0:
-            current[ncur] = i
-            ncur += 1
-    rank = 0
-    assigned = 0
-    nxt = np.empty(n, dtype=np.int64)
-    while ncur > 0:
-        nnext = 0
-        for a in range(ncur):
-            i = current[a]
-            ranks[i] = rank
-            assigned += 1
-        for a in range(ncur):
-            i = current[a]
-            for j in range(n):
-                if dom[i, j]:
-                    count[j] -= 1
-                    if count[j] == 0:
-                        nxt[nnext] = j
-                        nnext += 1
-        rank += 1
-        for a in range(nnext):
-            current[a] = nxt[a]
-        ncur = nnext
-    return ranks
-
-
-def _crowding_loops(F):
-    # NSGA-II crowding distance; boundary points get +inf, zero-range
-    # objectives contribute 0.
-    n, m = F.shape
-    dist = np.zeros(n, dtype=np.float64)
-    if n <= 2:
-        for i in range(n):
-            dist[i] = np.inf
-        return dist
-    for k in range(m):
-        order = np.argsort(F[:, k], kind="mergesort")
-        lo = F[order[0], k]
-        hi = F[order[n - 1], k]
-        dist[order[0]] = np.inf
-        dist[order[n - 1]] = np.inf
-        span = hi - lo
-        if span <= 0.0:
-            continue
-        for a in range(1, n - 1):
-            i = order[a]
-            if dist[i] != np.inf:
-                dist[i] += (F[order[a + 1], k] - F[order[a - 1], k]) / span
-    return dist
-
-
-def _hv2d_loops(F, ref):
-    # area of the union of rectangles [point, ref]; sweep over f1 ascending
-    n = F.shape[0]
-    order = np.argsort(F[:, 0], kind="mergesort")
-    hv = 0.0
-    top = ref[1]
-    for a in range(n):
-        i = order[a]
-        x = F[i, 0]
-        y = F[i, 1]
-        if x >= ref[0] or y >= top:
-            continue
-        hv += (ref[0] - x) * (top - y)
-        top = y
-    return hv
-
-
-def _hv3d_loops(F, ref):
-    # slice along f3: 2-d sweep of the accumulated projections per slab
-    n = F.shape[0]
-    order = np.argsort(F[:, 2], kind="mergesort")
-    px = np.empty(n, dtype=np.float64)
-    py = np.empty(n, dtype=np.float64)
-    pz = np.empty(n, dtype=np.float64)
-    cnt = 0
-    for a in range(n):
-        i = order[a]
-        if F[i, 0] < ref[0] and F[i, 1] < ref[1] and F[i, 2] < ref[2]:
-            px[cnt] = F[i, 0]
-            py[cnt] = F[i, 1]
-            pz[cnt] = F[i, 2]
-            cnt += 1
-    if cnt == 0:
-        return 0.0
-    hv = 0.0
-    sx = np.empty(cnt, dtype=np.float64)
-    sy = np.empty(cnt, dtype=np.float64)
-    ns = 0
-    a = 0
-    while a < cnt:
-        z = pz[a]
-        # merge every point at this z-level into the 2-d staircase
-        while a < cnt and pz[a] == z:
-            x = px[a]
-            y = py[a]
-            dominated = False
-            for s in range(ns):
-                if sx[s] <= x and sy[s] <= y:
-                    dominated = True
-                    break
-            if not dominated:
-                w = 0
-                for s in range(ns):
-                    if not (x <= sx[s] and y <= sy[s]):
-                        sx[w] = sx[s]
-                        sy[w] = sy[s]
-                        w += 1
-                sx[w] = x
-                sy[w] = y
-                ns = w + 1
-            a += 1
-        znext = ref[2] if a >= cnt else pz[a]
-        so = np.argsort(sx[:ns], kind="mergesort")
-        area = 0.0
-        top = ref[1]
-        for b in range(ns):
-            s = so[b]
-            if sy[s] < top:
-                area += (ref[0] - sx[s]) * (top - sy[s])
-                top = sy[s]
-        hv += area * (znext - z)
-    return hv
-
-
-def _mean_min_dist_loops(A, B):
-    # mean over rows of A of the Euclidean distance to the closest row of B
-    na, m = A.shape
-    nb = B.shape[0]
-    total = 0.0
-    for i in range(na):
-        best = np.inf
-        for j in range(nb):
-            d = 0.0
-            for k in range(m):
-                t = A[i, k] - B[j, k]
-                d += t * t
-            if d < best:
-                best = d
-        total += np.sqrt(best)
-    return total / na
-
-
-def _count_dominated_loops(samples, F):
-    # number of sample rows weakly dominated by at least one row of F
-    ns, m = samples.shape
-    nf = F.shape[0]
-    hits = 0
-    for i in range(ns):
-        for j in range(nf):
-            ok = True
-            for k in range(m):
-                if F[j, k] > samples[i, k]:
-                    ok = False
-                    break
-            if ok:
-                hits += 1
-                break
-    return hits
-
-
-# ---------------------------------------------------------------------------
-# vectorized numpy variants
-# ---------------------------------------------------------------------------
 
 _CHUNK = 256
 
 
-def _nd_mask_numpy(F):
+def nd_mask(F):
+    # mask[i] is True iff no row strictly dominates row i; equal rows are both kept
     n = F.shape[0]
     mask = np.ones(n, dtype=np.bool_)
     for start in range(0, n, _CHUNK):
@@ -261,7 +27,7 @@ def _nd_mask_numpy(F):
     return mask
 
 
-def _dom_matrix_numpy(F):
+def _dom_matrix(F):
     n = F.shape[0]
     dom = np.zeros((n, n), dtype=np.bool_)
     for start in range(0, n, _CHUNK):
@@ -272,9 +38,10 @@ def _dom_matrix_numpy(F):
     return dom
 
 
-def _nds_ranks_numpy(F):
+def nds_ranks(F):
+    # Deb's fast non-dominated sort, returning the rank (front index) per row
     n = F.shape[0]
-    dom = _dom_matrix_numpy(F)
+    dom = _dom_matrix(F)
     count = dom.sum(axis=0).astype(np.int64)
     ranks = np.full(n, -1, dtype=np.int64)
     rank = 0
@@ -290,7 +57,9 @@ def _nds_ranks_numpy(F):
     return ranks
 
 
-def _crowding_numpy(F):
+def crowding(F):
+    # NSGA-II crowding distance; boundary points get +inf, zero-range
+    # objectives contribute 0
     n, m = F.shape
     if n <= 2:
         return np.full(n, np.inf)
@@ -310,13 +79,9 @@ def _crowding_numpy(F):
     return dist
 
 
-def _hv2d_numpy(F, ref):
-    inside = (F[:, 0] < ref[0]) & (F[:, 1] < ref[1])
-    P = F[inside]
-    if P.shape[0] == 0:
-        return 0.0
-    order = np.argsort(P[:, 0], kind="mergesort")
-    P = P[order]
+def _staircase_area(P, ref):
+    # area of the union of rectangles [point, ref] for rows strictly inside ref
+    P = P[np.argsort(P[:, 0], kind="mergesort")]
     tops = np.minimum.accumulate(P[:, 1])
     prev = np.concatenate(([ref[1]], tops[:-1]))
     widths = ref[0] - P[:, 0]
@@ -325,7 +90,16 @@ def _hv2d_numpy(F, ref):
     return float((widths[keep] * heights[keep]).sum())
 
 
-def _hv3d_numpy(F, ref):
+def hv2d(F, ref):
+    inside = (F[:, 0] < ref[0]) & (F[:, 1] < ref[1])
+    P = F[inside]
+    if P.shape[0] == 0:
+        return 0.0
+    return _staircase_area(P, ref)
+
+
+def hv3d(F, ref):
+    # slice along f3: 2-d area of the accumulated projections per slab
     inside = (F < ref).all(axis=1)
     P = F[inside]
     if P.shape[0] == 0:
@@ -336,11 +110,12 @@ def _hv3d_numpy(F, ref):
     hv = 0.0
     for z, znext in zip(levels, bounds):
         layer = P[P[:, 2] <= z, :2]
-        hv += _hv2d_numpy(layer, ref[:2]) * (znext - z)
+        hv += _staircase_area(layer, ref[:2]) * (znext - z)
     return hv
 
 
-def _mean_min_dist_numpy(A, B):
+def mean_min_dist(A, B):
+    # mean over rows of A of the Euclidean distance to the closest row of B
     total = 0.0
     for start in range(0, A.shape[0], _CHUNK):
         block = A[start:start + _CHUNK]
@@ -349,7 +124,8 @@ def _mean_min_dist_numpy(A, B):
     return total / A.shape[0]
 
 
-def _count_dominated_numpy(samples, F):
+def count_dominated(samples, F):
+    # number of sample rows weakly dominated by at least one row of F
     hits = 0
     for start in range(0, samples.shape[0], 4096):
         block = samples[start:start + 4096]
@@ -358,56 +134,6 @@ def _count_dominated_numpy(samples, F):
             dominated |= (F[j] <= block).all(axis=1)
         hits += int(dominated.sum())
     return hits
-
-
-# ---------------------------------------------------------------------------
-# backend selection
-# ---------------------------------------------------------------------------
-
-_LOOPS = {
-    "nd_mask": _nd_mask_loops,
-    "nds_ranks": _nds_ranks_loops,
-    "crowding": _crowding_loops,
-    "hv2d": _hv2d_loops,
-    "hv3d": _hv3d_loops,
-    "mean_min_dist": _mean_min_dist_loops,
-    "count_dominated": _count_dominated_loops,
-}
-
-_NUMPY = {
-    "nd_mask": _nd_mask_numpy,
-    "nds_ranks": _nds_ranks_numpy,
-    "crowding": _crowding_numpy,
-    "hv2d": _hv2d_numpy,
-    "hv3d": _hv3d_numpy,
-    "mean_min_dist": _mean_min_dist_numpy,
-    "count_dominated": _count_dominated_numpy,
-}
-
-NUMBA_KERNELS: dict = {}
-BACKEND = "numpy"
-
-if not _numba_disabled():
-    try:
-        from numba import njit
-    except ImportError:
-        pass
-    else:
-        for _name, _fn in _LOOPS.items():
-            NUMBA_KERNELS[_name] = njit(cache=True)(_fn)
-        BACKEND = "numba"
-
-_ACTIVE = NUMBA_KERNELS if BACKEND == "numba" else _NUMPY
-
-nd_mask = _ACTIVE["nd_mask"]
-nds_ranks = _ACTIVE["nds_ranks"]
-crowding = _ACTIVE["crowding"]
-hv2d = _ACTIVE["hv2d"]
-hv3d = _ACTIVE["hv3d"]
-mean_min_dist = _ACTIVE["mean_min_dist"]
-count_dominated = _ACTIVE["count_dominated"]
-
-NUMPY_KERNELS = _NUMPY
 
 
 def as_objectives(F) -> np.ndarray:

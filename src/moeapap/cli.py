@@ -32,7 +32,6 @@ def default_manifest(which: str) -> str:
 def _add_common(parser, with_portfolio=True):
     parser.add_argument("--manifest", default=None, help="problem manifest path (JSON)")
     parser.add_argument("--seed", type=int, default=0, help="master seed")
-    parser.add_argument("--workers", type=int, default=1, help="parallel worker processes")
     parser.add_argument("--out-dir", default="results", help="output directory")
     if with_portfolio:
         parser.add_argument(
@@ -73,6 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=help_text)
         _add_common(p)
+        p.add_argument("--workers", type=int, default=1, help="parallel worker processes")
         p.add_argument("--repetitions", type=int, default=30)
         p.add_argument("--variant", choices=["BASE", "NGEN", "NSIZE"], default="BASE")
         p.add_argument("--N", type=int, default=1, dest="n_factor",

@@ -9,9 +9,8 @@ solution sets are merged, see :mod:`moeapap.portfolio`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
 
 import numpy as np
 
@@ -58,15 +57,6 @@ def dominates(a, b) -> Dominance:
 
 
 @dataclass(frozen=True)
-class Individual:
-    """One solution: a decision vector plus its evaluated objectives."""
-
-    decision: np.ndarray
-    objectives: np.ndarray
-    aux: dict | None = None
-
-
-@dataclass(frozen=True)
 class SolutionSet:
     """A mutually non-dominated set of solutions, stored column-wise.
 
@@ -90,39 +80,11 @@ class SolutionSet:
     def m(self) -> int:
         return self.objectives.shape[1]
 
-    def members(self) -> list[Individual]:
-        if self.decisions is None:
-            return [Individual(np.empty(0), f) for f in self.objectives]
-        return [Individual(x, f) for x, f in zip(self.decisions, self.objectives)]
-
     def validate(self) -> "SolutionSet":
         """Raise unless the set is mutually non-dominated."""
         if len(self) and not _kernels.nd_mask(self.objectives).all():
             raise ContractViolationError("solution set contains dominated members")
         return self
-
-    @staticmethod
-    def empty(m: int) -> "SolutionSet":
-        return SolutionSet(np.empty((0, m)))
-
-
-@dataclass(frozen=True)
-class ProblemSpec:
-    """Static description of one benchmark problem instance.
-
-    ``n`` is the nominal decision dimension, ``bounds`` the per-variable
-    [lower, upper] box the variation operators work in, and
-    ``objective_box`` the per-objective [ideal, upper] ranges used by the
-    normalized hypervolume metrics.
-    """
-
-    name: str
-    m: int
-    n: int
-    bounds: np.ndarray
-    encoding: str = "real"
-    reference_front: np.ndarray | None = field(default=None, repr=False)
-    objective_box: np.ndarray | None = None
 
 
 def nondominated_indices(F) -> np.ndarray:
@@ -133,18 +95,10 @@ def nondominated_indices(F) -> np.ndarray:
     return np.nonzero(_kernels.nd_mask(arr))[0]
 
 
-def nondominated_filter(pop: Sequence[Individual] | np.ndarray) -> SolutionSet:
-    """Extract the non-dominated subset of a population as a SolutionSet."""
-    if isinstance(pop, np.ndarray):
-        arr = as_objectives(pop)
-        return SolutionSet(arr[nondominated_indices(arr)])
-    individuals = list(pop)
-    if not individuals:
-        return SolutionSet.empty(0)
-    F = as_objectives([ind.objectives for ind in individuals])
-    keep = nondominated_indices(F)
-    X = np.asarray([individuals[i].decision for i in keep])
-    return SolutionSet(F[keep], X)
+def nondominated_filter(F) -> SolutionSet:
+    """Extract the non-dominated rows of an objective array as a SolutionSet."""
+    arr = as_objectives(F)
+    return SolutionSet(arr[nondominated_indices(arr)])
 
 
 def fast_nondominated_sort(F) -> list[np.ndarray]:
@@ -154,14 +108,6 @@ def fast_nondominated_sort(F) -> list[np.ndarray]:
         return []
     ranks = _kernels.nds_ranks(arr)
     return [np.nonzero(ranks == r)[0] for r in range(int(ranks.max()) + 1)]
-
-
-def nondominated_ranks(F) -> np.ndarray:
-    """Front index (0 = best) for every row of ``F``."""
-    arr = as_objectives(F)
-    if arr.shape[0] == 0:
-        return np.empty(0, dtype=np.int64)
-    return _kernels.nds_ranks(arr)
 
 
 def crowding_distance(F) -> np.ndarray:
@@ -194,10 +140,3 @@ def crowding_truncate_indices(F, k: int) -> np.ndarray:
         d = _kernels.crowding(arr[alive])
         alive.pop(int(np.argmin(d)))
     return np.asarray(alive, dtype=np.int64)
-
-
-def crowding_truncate(front: Sequence[Individual], k: int) -> list[Individual]:
-    """Truncate a front of Individuals to ``k`` members."""
-    individuals = list(front)
-    F = as_objectives([ind.objectives for ind in individuals])
-    return [individuals[i] for i in crowding_truncate_indices(F, k)]

@@ -1,5 +1,5 @@
-"""Variation operators: SBX, polynomial mutation, the DE mutation family,
-PSO velocity/position updates and the binary operators for ZDT5.
+"""Variation operators: SBX, polynomial mutation, the DE mutation family
+and PSO velocity/position updates.
 
 Every operator is a pure function of its inputs plus an explicit
 ``numpy.random.Generator``; replaying the generator reproduces outputs
@@ -229,33 +229,3 @@ def _nonuniform_mutation(pos, bounds, rng, generation, max_generations, degree: 
     shrink = 1.0 - r ** ((1.0 - frac) ** degree)
     delta = np.where(up, (hi - pos) * shrink, -(pos - lo) * shrink)
     return clamp(np.where(apply, pos + delta, pos), bounds)
-
-
-def binary_variation(bits1, bits2, layout, rng, flip_prob=None):
-    """One-point crossover per substring plus per-bit flips.
-
-    ``layout`` lists the substring widths; the default flip probability is
-    one over the total bit count.
-    """
-    bits1 = np.asarray(bits1, dtype=np.int8)
-    bits2 = np.asarray(bits2, dtype=np.int8)
-    total = int(sum(layout))
-    if bits1.size != total or bits2.size != total:
-        raise ContractViolationError("binary genotypes do not match the substring layout")
-    if flip_prob is None:
-        flip_prob = 1.0 / total
-    c1 = bits1.copy()
-    c2 = bits2.copy()
-    pos = 0
-    for width in layout:
-        cut = int(rng.integers(width + 1))
-        if cut:
-            c1[pos:pos + cut] = bits1[pos:pos + cut]
-            c1[pos + cut:pos + width] = bits2[pos + cut:pos + width]
-            c2[pos:pos + cut] = bits2[pos:pos + cut]
-            c2[pos + cut:pos + width] = bits1[pos + cut:pos + width]
-        pos += width
-    for child in (c1, c2):
-        flips = rng.random(total) < flip_prob
-        child[flips] ^= 1
-    return c1, c2

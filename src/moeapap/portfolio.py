@@ -11,7 +11,6 @@ identical configurations reproduce identical runs.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -74,23 +73,25 @@ class PapRunResult:
 
 
 def restructure(sets, cap: int) -> SolutionSet:
-    """Merge solution sets into one non-dominated set of at most ``cap``.
+    """Merge SolutionSets into one non-dominated set of at most ``cap``.
 
-    Exact objective duplicates are pruned (first occurrence wins), then the
-    non-dominated subset of the union is extracted and crowd-truncated.
+    All sets must share one objective count.  Exact objective duplicates are
+    pruned (first occurrence wins), then the non-dominated subset of the
+    union is extracted and crowd-truncated.  Decisions are kept when every
+    set carries them with one width.
     """
     sets = list(sets)
     if not sets:
         raise ContractViolationError("restructure needs at least one set")
-    objectives = [s.objectives if isinstance(s, SolutionSet) else np.atleast_2d(np.asarray(s, float)) for s in sets]
+    objectives = [s.objectives for s in sets]
     m = objectives[0].shape[1]
     if any(o.shape[1] != m for o in objectives):
         raise ContractViolationError("cannot restructure sets with different objective counts")
     decisions = None
-    if all(isinstance(s, SolutionSet) and s.decisions is not None for s in sets):
-        widths = {np.asarray(s.decisions).shape[1:] for s in sets if len(s)}
+    if all(s.decisions is not None for s in sets):
+        widths = {s.decisions.shape[1:] for s in sets if len(s)}
         if len(widths) <= 1:
-            decisions = [np.asarray(s.decisions) for s in sets]
+            decisions = [s.decisions for s in sets]
     F = np.vstack(objectives)
     X = np.vstack(decisions) if decisions is not None else None
 
@@ -124,59 +125,33 @@ def member_seed(run_seed: int, config: AlgorithmConfig) -> int:
     return int(state[0])
 
 
-def _run_member(args):
-    config, problem_name, budget, seed = args
-    from . import problems
-
-    return algorithms.run(config, problems.get_problem(problem_name), budget, seed)
-
-
 def run_pap(
     portfolio: Portfolio,
     problem,
     budget: RunBudget,
     seed: int,
     ctx: indicators.HvContext | None = None,
-    workers: int = 1,
     runner=None,
 ) -> PapRunResult:
-    """Execute every member, restructure, and pick the metric-best output.
+    """Execute every member in turn, restructure, and pick the metric-best output.
 
     Ties prefer the restructured set, then the lowest member index.  Failed
     member runs are excluded from the candidates and recorded; if every
     member fails the run errors out.  ``runner`` may replace the engine
-    dispatch (sequential execution only), which is how synthetic member
-    behaviors are injected in tests.
+    dispatch, which is how synthetic member behaviors are injected in tests.
+    Runs are parallelised across jobs by the experiment harness, not here.
     """
     if ctx is None:
         ctx = indicators.HvContext.for_problem(problem.name)
+    run = algorithms.run if runner is None else runner
 
-    jobs = [
-        (config, problem.name, budget, member_seed(seed, config))
-        for config in portfolio.members
-    ]
-    results: list[RunResult | None] = [None] * len(jobs)
+    results: list[RunResult | None] = [None] * len(portfolio.members)
     failures: list[tuple[int, str]] = []
-    if runner is not None:
-        for i, (config, _, bud, mseed) in enumerate(jobs):
-            try:
-                results[i] = runner(config, problem, bud, mseed)
-            except Exception as exc:  # noqa: BLE001 - candidate exclusion is the contract
-                failures.append((i, f"{type(exc).__name__}: {exc}"))
-    elif workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_run_member, job) for job in jobs]
-        for i, future in enumerate(futures):
-            try:
-                results[i] = future.result()
-            except Exception as exc:  # noqa: BLE001
-                failures.append((i, f"{type(exc).__name__}: {exc}"))
-    else:
-        for i, job in enumerate(jobs):
-            try:
-                results[i] = _run_member(job)
-            except Exception as exc:  # noqa: BLE001
-                failures.append((i, f"{type(exc).__name__}: {exc}"))
+    for i, config in enumerate(portfolio.members):
+        try:
+            results[i] = run(config, problem, budget, member_seed(seed, config))
+        except Exception as exc:  # noqa: BLE001 - candidate exclusion is the contract
+            failures.append((i, f"{type(exc).__name__}: {exc}"))
 
     good_sets = [r.solution_set for r in results if r is not None]
     if not good_sets:

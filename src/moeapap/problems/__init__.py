@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from ..core import ConfigurationError, ContractViolationError, ProblemSpec
+from ..core import ConfigurationError, ContractViolationError
 from . import dtlz, uf, wfg, zdt
 from .fronts import UnsupportedProblemError, sample_reference_front
 from .zdt import ZDT5_BIT_LAYOUT, ZDT5_TOTAL_BITS
@@ -33,7 +33,6 @@ __all__ = [
     "objective_box",
     "reference_front",
     "sample_reference_front",
-    "spec_for",
 ]
 
 _BOUNDS_EPS = 1e-9
@@ -55,9 +54,7 @@ class Problem:
     n: int
     n_vars: int
     bounds: np.ndarray = field(repr=False)
-    encoding: str
     _fn: Callable[[np.ndarray], np.ndarray] = field(repr=False)
-    bit_layout: tuple[int, ...] | None = None
 
     @property
     def lower(self) -> np.ndarray:
@@ -80,17 +77,6 @@ class Problem:
         if ((arr < self.lower - _BOUNDS_EPS) | (arr > self.upper + _BOUNDS_EPS)).any():
             raise ContractViolationError(f"decision vector out of bounds for {self.name}")
         F = self._fn(arr)
-        return F[0] if single else F
-
-    def evaluate_bits(self, bits) -> np.ndarray:
-        """Evaluate a binary genotype directly (ZDT5 only)."""
-        if self.encoding != "binary":
-            raise ContractViolationError(f"{self.name} is not a binary-encoded problem")
-        arr = np.asarray(bits)
-        single = arr.ndim == 1
-        if single:
-            arr = arr[None, :]
-        F = zdt.zdt5_bits(arr)
         return F[0] if single else F
 
 
@@ -128,7 +114,7 @@ def _build_registry() -> dict[str, Problem]:
         bounds = _box(n, 0.0, 1.0)
         if i == 4:
             bounds[1:] = (-5.0, 5.0)
-        add(Problem(f"ZDT{i}", "ZDT", i, 2, n, n, bounds, "real", fn))
+        add(Problem(f"ZDT{i}", "ZDT", i, 2, n, n, bounds, fn))
     add(
         Problem(
             "ZDT5",
@@ -138,26 +124,24 @@ def _build_registry() -> dict[str, Problem]:
             len(ZDT5_BIT_LAYOUT),
             ZDT5_TOTAL_BITS,
             _box(ZDT5_TOTAL_BITS, 0.0, 1.0),
-            "binary",
             zdt.zdt5,
-            bit_layout=ZDT5_BIT_LAYOUT,
         )
     )
 
     dtlz_fns = [dtlz.dtlz1, dtlz.dtlz2, dtlz.dtlz3, dtlz.dtlz4, dtlz.dtlz5, dtlz.dtlz6, dtlz.dtlz7]
     for i, fn in enumerate(dtlz_fns, start=1):
-        add(Problem(f"DTLZ{i}", "DTLZ", i, 2, 11, 11, _box(11, 0.0, 1.0), "real", fn))
+        add(Problem(f"DTLZ{i}", "DTLZ", i, 2, 11, 11, _box(11, 0.0, 1.0), fn))
 
     wfg.validate_split(12, 3, 4, 8)
     for i in range(1, 10):
         bounds = np.column_stack((np.zeros(12), wfg.upper_bounds(12)))
         fn = (lambda idx: lambda X: wfg.wfg_evaluate(idx, X, m=3, k=4))(i)
-        add(Problem(f"WFG{i}", "WFG", i, 3, 12, 12, bounds, "real", fn))
+        add(Problem(f"WFG{i}", "WFG", i, 3, 12, 12, bounds, fn))
 
     uf_fns = [uf.uf1, uf.uf2, uf.uf3, uf.uf4, uf.uf5, uf.uf6, uf.uf7, uf.uf8, uf.uf9, uf.uf10]
     for i, fn in enumerate(uf_fns, start=1):
         m = 2 if i <= 7 else 3
-        add(Problem(f"UF{i}", "UF", i, m, uf.N_VARS, uf.N_VARS, _uf_bounds(i), "real", fn))
+        add(Problem(f"UF{i}", "UF", i, m, uf.N_VARS, uf.N_VARS, _uf_bounds(i), fn))
 
     return reg
 
@@ -225,20 +209,6 @@ def objective_box(name: str) -> np.ndarray:
     if box.shape != (problem.m, 2) or not (box[:, 0] < box[:, 1]).all():
         raise ConfigurationError(f"invalid objective box metadata for {problem.name}")
     return box
-
-
-def spec_for(name: str) -> ProblemSpec:
-    """Assemble the full problem record including front and objective box."""
-    p = get_problem(name)
-    return ProblemSpec(
-        name=p.name,
-        m=p.m,
-        n=p.n,
-        bounds=p.bounds,
-        encoding=p.encoding,
-        reference_front=reference_front(p.name),
-        objective_box=objective_box(p.name),
-    )
 
 
 def default_budget(name: str) -> tuple[int, int]:

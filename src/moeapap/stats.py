@@ -85,10 +85,6 @@ def wilcoxon_rank_sum(a, b) -> tuple[float, float]:
     return w, min(p, 1.0)
 
 
-def significantly_different(a, b, alpha: float = ALPHA) -> bool:
-    return wilcoxon_rank_sum(a, b)[1] < alpha
-
-
 def wdl_counts(
     baseline_by_problem: dict[str, list[float]],
     opponent_by_problem: dict[str, list[float]],

@@ -3,8 +3,7 @@
 Each test implements one acceptance criterion at its stated tolerance and
 prints one PASS line on success (run with ``pytest -s`` to see them; a
 failure shows up as a normal pytest failure).  Expected total runtime is
-dominated by criterion 6 (roughly two to three minutes with the numba
-backend).
+dominated by criterion 6 (roughly six minutes on two cores).
 """
 
 import json

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from moeapap.cli import main
+from moeapap.cli import build_parser, main
 from moeapap.construction import load_portfolio
 
 
@@ -117,3 +117,21 @@ def test_compare_needs_two_portfolios(tmp_path, tiny_manifest, capsys):
         "--manifest", tiny_manifest, "--out-dir", str(tmp_path / "o"),
     ])
     assert rc == 2
+
+
+def test_workers_only_where_it_is_read(tmp_path):
+    parser = build_parser()
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args([
+            "construct", "--out", str(tmp_path / "pf.json"), "--budget-per-search", "1",
+            "--workers", "2",
+        ])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args([
+            "analyze-members", "--portfolio", str(tmp_path / "pf.json"), "--workers", "2",
+        ])
+    assert exc.value.code == 2
+    for command in ("evaluate", "compare"):
+        args = parser.parse_args([command, "--portfolio", str(tmp_path / "pf.json"), "--workers", "2"])
+        assert args.workers == 2

@@ -17,38 +17,7 @@ from moeapap.core import (
     nondominated_indices,
 )
 
-
-def brute_force_nd_indices(F):
-    """O(n^2) all-pairs dominance oracle."""
-    n = len(F)
-    keep = []
-    for i in range(n):
-        dominated = False
-        for j in range(n):
-            if i == j:
-                continue
-            if (F[j] <= F[i]).all() and (F[j] < F[i]).any():
-                dominated = True
-                break
-        if not dominated:
-            keep.append(i)
-    return np.asarray(keep)
-
-
-def brute_force_peel_ranks(F):
-    """Repeated non-dominated peeling oracle."""
-    remaining = list(range(len(F)))
-    ranks = np.full(len(F), -1)
-    rank = 0
-    while remaining:
-        sub = F[remaining]
-        front_local = brute_force_nd_indices(sub)
-        front = [remaining[i] for i in front_local]
-        for i in front:
-            ranks[i] = rank
-        remaining = [i for i in remaining if i not in set(front)]
-        rank += 1
-    return ranks
+from .oracles import brute_force_nd_indices, brute_force_peel_ranks
 
 
 class TestDominates:
@@ -198,9 +167,3 @@ class TestSolutionSet:
     def test_validate_rejects_dominated(self):
         with pytest.raises(ContractViolationError):
             SolutionSet(np.array([[1.0, 1.0], [2.0, 2.0]])).validate()
-
-    def test_members_roundtrip(self):
-        s = SolutionSet(np.array([[1.0, 2.0]]), np.array([[0.5, 0.5, 0.5]]))
-        member = s.members()[0]
-        assert member.objectives.tolist() == [1.0, 2.0]
-        assert member.decision.tolist() == [0.5, 0.5, 0.5]

@@ -15,21 +15,7 @@ from moeapap.indicators import (
     ihvr,
 )
 
-
-def rectangle_union_area(points, ref):
-    """Grid-decomposition oracle for the 2-d dominated area."""
-    pts = [p for p in points if p[0] < ref[0] and p[1] < ref[1]]
-    if not pts:
-        return 0.0
-    xs = sorted({p[0] for p in pts} | {ref[0]})
-    ys = sorted({p[1] for p in pts} | {ref[1]})
-    area = 0.0
-    for i in range(len(xs) - 1):
-        for j in range(len(ys) - 1):
-            cx, cy = xs[i], ys[j]
-            if any(p[0] <= cx and p[1] <= cy for p in pts):
-                area += (xs[i + 1] - xs[i]) * (ys[j + 1] - ys[j])
-    return area
+from .oracles import rectangle_union_area
 
 
 class TestHypervolume:

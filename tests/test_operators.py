@@ -13,20 +13,16 @@ UNIT = np.array([[0.0, 1.0]])
 
 
 class _StubRng:
-    """Deterministic stand-in feeding scripted uniforms/integers."""
+    """Deterministic stand-in feeding scripted uniforms."""
 
-    def __init__(self, randoms, integers=()):
+    def __init__(self, randoms):
         self._randoms = list(randoms)
-        self._integers = list(integers)
 
     def random(self, size=None):
         block = self._randoms.pop(0)
         if size is None:
             return block
         return np.asarray(block, dtype=np.float64)
-
-    def integers(self, *args, **kwargs):
-        return self._integers.pop(0)
 
 
 def unit_bounds(d):
@@ -260,45 +256,6 @@ class TestPsoUpdate:
         phi = 5.0
         expected = 2.0 / abs(2.0 - phi - np.sqrt(phi * phi - 4 * phi))
         assert operators.smpso_constriction(2.5, 2.5) == pytest.approx(expected)
-
-
-class TestBinaryVariation:
-    LAYOUT = (30,) + (5,) * 10
-
-    def test_identity_when_no_flip_and_zero_cut(self):
-        rng = _StubRng([np.ones(80), np.ones(80)], integers=[0] * 11)
-        x1 = np.zeros(80, dtype=np.int8)
-        x2 = np.ones(80, dtype=np.int8)
-        c1, c2 = operators.binary_variation(x1, x2, self.LAYOUT, rng, flip_prob=0.0)
-        assert np.array_equal(c1, x1)
-        assert np.array_equal(c2, x2)
-
-    def test_cut_pattern(self):
-        cuts = [3] + [0] * 10
-        rng = _StubRng([np.ones(80), np.ones(80)], integers=cuts)
-        x1 = np.zeros(80, dtype=np.int8)
-        x2 = np.ones(80, dtype=np.int8)
-        c1, _ = operators.binary_variation(x1, x2, self.LAYOUT, rng, flip_prob=0.0)
-        assert c1[:3].tolist() == [0, 0, 0]
-        assert c1[3:30].tolist() == [1] * 27
-        assert c1[30:].tolist() == [0] * 50
-
-    def test_layout_mismatch(self):
-        with pytest.raises(ContractViolationError):
-            operators.binary_variation(np.zeros(10), np.zeros(10), self.LAYOUT, rng_for(0))
-
-    def test_expected_flip_count(self):
-        rng = rng_for("bits")
-        x1 = np.zeros(80, dtype=np.int8)
-        x2 = np.zeros(80, dtype=np.int8)  # identical parents isolate the flip noise
-        total = 0
-        trials = 1000
-        for _ in range(trials):
-            c1, c2 = operators.binary_variation(x1, x2, self.LAYOUT, rng)
-            total += int(c1.sum()) + int(c2.sum())
-        mean_flips = total / (2 * trials)
-        sigma = (80 * (1 / 80) * (1 - 1 / 80) / (2 * trials)) ** 0.5
-        assert abs(mean_flips - 1.0) < 3 * sigma
 
 
 class TestBoundSafetyAndDeterminism:

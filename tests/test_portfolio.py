@@ -14,7 +14,8 @@ from moeapap.portfolio import (
     run_pap,
 )
 from moeapap.problems import get_problem
-from tests.test_core import brute_force_nd_indices
+
+from .oracles import brute_force_nd_indices
 
 
 def _cfg_nsga2():
@@ -187,12 +188,3 @@ class TestRunPap:
         with pytest.raises(ContractViolationError):
             run_pap(Portfolio((_cfg_nsga2(),)), get_problem("ZDT1"), RunBudget(10, 1),
                     seed=0, runner=runner)
-
-    def test_parallel_equals_sequential(self):
-        p = get_problem("ZDT1")
-        pf = Portfolio((_cfg_nsga2(), _cfg_moead(), _cfg_mopso()))
-        seq = run_pap(pf, p, RunBudget(14, 4), seed=11, workers=1)
-        par = run_pap(pf, p, RunBudget(14, 4), seed=11, workers=3)
-        assert np.array_equal(seq.output.objectives, par.output.objectives)
-        assert seq.member_metrics == par.member_metrics
-        assert seq.chosen_source == par.chosen_source

@@ -14,7 +14,6 @@ from moeapap.problems import (
     objective_box,
     reference_front,
     sample_reference_front,
-    spec_for,
 )
 from moeapap.problems.wfg import wfg_evaluate
 
@@ -91,18 +90,12 @@ class TestEvaluationExamples:
         p = get_problem("ZDT5")
         rng = rng_for("zdt5")
         relaxed = rng.random((6, p.n_vars))
-        bits = (relaxed >= 0.5).astype(np.int8)
-        assert np.array_equal(p.evaluate(relaxed), p.evaluate_bits(bits))
+        assert np.array_equal(p.evaluate(relaxed), p.evaluate((relaxed >= 0.5).astype(float)))
 
     def test_zdt5_known_point(self):
         p = get_problem("ZDT5")
         # all ones: u1=30 -> f1=31; every 5-bit substring u=5 -> v=1 -> g=10
-        bits = np.ones(80, dtype=np.int8)
-        assert p.evaluate_bits(bits) == pytest.approx([31.0, 10.0 / 31.0])
-
-    def test_zdt5_binary_guard(self):
-        with pytest.raises(ContractViolationError):
-            get_problem("ZDT1").evaluate_bits(np.zeros(30, dtype=np.int8))
+        assert p.evaluate(np.ones(80)) == pytest.approx([31.0, 10.0 / 31.0])
 
 
 class TestWfgOracle:
@@ -236,9 +229,3 @@ class TestReferenceFronts:
             le = (blk[:, None, :] <= front[None, :, :] + 1e-9).all(axis=2)
             lt = (blk[:, None, :] < front[None, :, :] - 1e-9).any(axis=2)
             assert not (le & lt).any()
-
-    def test_spec_assembly(self):
-        spec = spec_for("WFG4")
-        assert spec.m == 3 and spec.n == 12
-        assert spec.reference_front.shape[1] == 3
-        assert spec.objective_box.shape == (3, 2)
