@@ -17,7 +17,7 @@ from .. import operators
 from .._seeding import rng_for
 from ..core import ConfigurationError, SolutionSet, crowding_truncate_indices, nondominated_indices
 from . import MOEAD, SBX_PM, AlgorithmConfig, RunBudget, RunResult
-from .common import de_offspring, de_params_from, init_population
+from .common import de_params_from, init_population, n_donors, pick_donors, shuffled_pools
 
 _ZERO_WEIGHT = 1e-4
 
@@ -82,22 +82,40 @@ def run_moead(problem, config: AlgorithmConfig, budget: RunBudget, seed: int) ->
         sbx = pm = None
         de = de_params_from(config)
 
-    everyone = np.arange(n)
-    no_best = np.empty(0, dtype=np.int64)  # the MOEA/D rows have no best/ variant
+    d = problem.n_vars
+    in_neighborhood = np.zeros((n, n), dtype=bool)
+    np.put_along_axis(in_neighborhood, neighbors, True, axis=1)
+    not_self = ~np.eye(n, dtype=bool)
+    W_adj = np.where(W == 0.0, _ZERO_WEIGHT, W)
     for _ in range(budget.max_generations):
+        # everything a child needs is drawn up front; the children are still
+        # made one at a time, each updating its pool before the next mates
+        pools = np.where((rng.random(n) < ps)[:, None], in_neighborhood, True)
+        if de is None:
+            mates = pick_donors(pools, 2, rng)
+            U_sbx = rng.random((3, n, d))
+            U_pm = rng.random((2, n, d))
+        else:
+            donors = pick_donors(pools & not_self, n_donors(de), rng)
+            masks = operators.de_crossover_mask((n, d), de.CR, rng)
+        orders = shuffled_pools(pools, rng)
+        pool_sizes = pools.sum(axis=1)
         for i in range(n):
-            pool = neighbors[i] if rng.random() < ps else everyone
             if de is None:
-                k1, k2 = pool[rng.choice(pool.size, size=2, replace=False)]
-                child, _ = operators.sbx_crossover(X[k1], X[k2], sbx, bounds, rng)
-                child = operators.polynomial_mutation(child, pm, bounds, rng)
+                k1, k2 = mates[i]
+                child, _ = operators.sbx_apply(X[k1], X[k2], sbx, bounds, U_sbx[:, i])
+                child = operators.pm_apply(child, pm, bounds, U_pm[:, i])
             else:
-                child = de_offspring(i, X, pool, no_best, de, bounds, rng)
+                picked = donors[i]
+                child = operators.de_apply(
+                    X[i], X[picked[0]], X[picked[1:de.p + 1]], X[picked[de.p + 1:]],
+                    de, bounds, masks[i],
+                )
             f_child = problem.evaluate(child)
             evaluations += 1
             ideal = np.minimum(ideal, f_child)
-            order = pool[rng.permutation(pool.size)]
-            w_adj = np.where(W[order] == 0.0, _ZERO_WEIGHT, W[order])
+            order = orders[i, :pool_sizes[i]]
+            w_adj = W_adj[order]
             g_child = (w_adj * np.abs(f_child - ideal)).max(axis=1)
             g_current = (w_adj * np.abs(F[order] - ideal)).max(axis=1)
             winners = order[g_child < g_current][:n_r]

@@ -15,8 +15,9 @@ import numpy as np
 
 from .. import operators
 from .._seeding import rng_for
-from ..core import ConfigurationError, Dominance, SolutionSet, dominates
+from ..core import ConfigurationError, SolutionSet
 from . import MOPSO, OMOPSO, SMPSO, AlgorithmConfig, RunBudget, RunResult
+from .common import init_population
 
 
 class _GridArchive:
@@ -68,18 +69,20 @@ class _GridArchive:
         self.X = self.X[keep]
         self.F = self.F[keep]
 
-    def select_leader(self) -> np.ndarray:
+    def select_leader(self, k: int) -> np.ndarray:
+        """Draw ``k`` leaders: a roulette over grid cells weighted by
+        1/count picks each leader's cell, then a member of it uniformly."""
         if not len(self):
             raise ConfigurationError("cannot select a leader from an empty archive")
         if len(self) == 1:
-            return self.X[0]
+            return np.repeat(self.X, k, axis=0)
         cells = self._cells()
         _, inverse, counts = np.unique(cells, axis=0, return_inverse=True, return_counts=True)
         weights = 1.0 / counts
-        probs = weights / weights.sum()
-        cell = int(self.rng.choice(probs.size, p=probs))
-        members = np.nonzero(inverse == cell)[0]
-        return self.X[int(members[self.rng.integers(members.size)])]
+        chosen = self.rng.choice(counts.size, size=k, p=weights / weights.sum())
+        by_cell = np.argsort(inverse.reshape(-1), kind="stable")
+        first = np.cumsum(counts) - counts
+        return self.X[by_cell[first[chosen] + self.rng.integers(counts[chosen])]]
 
     def solution_set(self) -> SolutionSet:
         return SolutionSet(self.F.copy(), self.X.copy())
@@ -104,6 +107,14 @@ def _pso_params(config: AlgorithmConfig) -> operators.PsoParams:
     )
 
 
+def pbest_replaced(F: np.ndarray, pbest_F: np.ndarray, coin: np.ndarray) -> np.ndarray:
+    """Rows whose new position replaces the personal best: it dominates the
+    personal best, or the two are incomparable and the row's coin is set."""
+    no_worse = (F <= pbest_F).all(axis=1)
+    no_better = (F >= pbest_F).all(axis=1)
+    return (no_worse & ~no_better) | (~no_worse & ~no_better & coin)
+
+
 def run_mopso(problem, config: AlgorithmConfig, budget: RunBudget, seed: int) -> RunResult:
     if config.foundation != MOPSO:
         raise ConfigurationError(f"expected a {MOPSO} configuration, got {config.foundation}")
@@ -114,9 +125,7 @@ def run_mopso(problem, config: AlgorithmConfig, budget: RunBudget, seed: int) ->
     pop = budget.pop_size
     gens = budget.max_generations
 
-    lo = bounds[:, 0]
-    hi = bounds[:, 1]
-    X = lo + rng.random((pop, problem.n_vars)) * (hi - lo)
+    X = init_population(problem, pop, rng)
     V = np.zeros_like(X)
     F = problem.evaluate(X)
     evaluations = pop
@@ -128,30 +137,20 @@ def run_mopso(problem, config: AlgorithmConfig, budget: RunBudget, seed: int) ->
     for i in range(pop):
         archive.insert(X[i], F[i])
 
+    swarm = np.arange(pop)
     for gen in range(gens):
-        for i in range(pop):
-            leader = archive.select_leader()
-            V[i], X[i] = operators.pso_update(
-                X[i],
-                V[i],
-                pbest_X[i],
-                leader,
-                params,
-                bounds,
-                rng,
-                particle_index=i,
-                generation=gen,
-                max_generations=gens,
-            )
+        # the archive stays fixed while the swarm moves
+        leaders = archive.select_leader(pop)
+        V, X = operators.pso_update(
+            X, V, pbest_X, leaders, params, bounds, rng,
+            particle_index=swarm, generation=gen, max_generations=gens,
+        )
         F = problem.evaluate(X)
         evaluations += pop
+        moved = pbest_replaced(F, pbest_F, rng.random(pop) < 0.5)
+        pbest_X[moved] = X[moved]
+        pbest_F[moved] = F[moved]
         for i in range(pop):
-            rel = dominates(F[i], pbest_F[i])
-            if rel == Dominance.A_DOMINATES or (
-                rel == Dominance.INCOMPARABLE and rng.random() < 0.5
-            ):
-                pbest_X[i] = X[i]
-                pbest_F[i] = F[i]
             archive.insert(X[i], F[i])
 
     result = archive.solution_set().validate()

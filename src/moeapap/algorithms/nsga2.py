@@ -12,17 +12,17 @@ import time
 
 import numpy as np
 
-from .. import operators
+from .. import _kernels, operators
 from .._seeding import rng_for
 from ..core import ConfigurationError, SolutionSet
 from . import NSGA2, SBX_PM, AlgorithmConfig, RunBudget, RunResult
 from .common import (
     binary_tournament,
+    crowding_by_front,
     de_offspring,
     de_params_from,
     environmental_select,
     init_population,
-    rank_and_crowd,
 )
 
 
@@ -38,6 +38,7 @@ def run_nsga2(problem, config: AlgorithmConfig, budget: RunBudget, seed: int) ->
 
     X = init_population(problem, pop, rng)
     F = problem.evaluate(X)
+    ranks = _kernels.nds_ranks(np.ascontiguousarray(F))
     evaluations = pop
 
     if config.operator == SBX_PM:
@@ -49,39 +50,24 @@ def run_nsga2(problem, config: AlgorithmConfig, budget: RunBudget, seed: int) ->
         de = de_params_from(config)
 
     for _ in range(budget.max_generations):
-        ranks, crowd, fronts = rank_and_crowd(F)
-        children = np.empty_like(X)
         if de is None:
-            for pair in range(pop // 2):
-                p1 = binary_tournament(ranks, crowd, rng)
-                p2 = binary_tournament(ranks, crowd, rng)
-                c1, c2 = operators.sbx_crossover(X[p1], X[p2], sbx, bounds, rng)
-                children[2 * pair] = operators.polynomial_mutation(c1, pm, bounds, rng)
-                children[2 * pair + 1] = operators.polynomial_mutation(c2, pm, bounds, rng)
-            if pop % 2:
-                p1 = binary_tournament(ranks, crowd, rng)
-                p2 = binary_tournament(ranks, crowd, rng)
-                c1, _ = operators.sbx_crossover(X[p1], X[p2], sbx, bounds, rng)
-                children[-1] = operators.polynomial_mutation(c1, pm, bounds, rng)
+            # pairs of tournament winners; an odd population drops the last child
+            crowd = crowding_by_front(F, ranks)
+            parents = X[binary_tournament(ranks, crowd, 2 * ((pop + 1) // 2), rng)]
+            c1, c2 = operators.sbx_crossover(parents[0::2], parents[1::2], sbx, bounds, rng)
+            children = np.stack((c1, c2), axis=1).reshape(parents.shape)[:pop]
+            children = operators.polynomial_mutation(children, pm, bounds, rng)
         else:
-            everyone = np.arange(pop)
-            for i in range(pop):
-                children[i] = de_offspring(i, X, everyone, fronts[0], de, bounds, rng)
+            children = de_offspring(X, np.nonzero(ranks == 0)[0], de, bounds, rng)
         F_children = problem.evaluate(children)
         evaluations += pop
 
         X = np.vstack((X, children))
         F = np.vstack((F, F_children))
-        keep = environmental_select(F, pop)
+        keep, ranks = environmental_select(F, pop)
         X = X[keep]
         F = F[keep]
 
-    first = np.nonzero(np.asarray(_first_front_mask(F)))[0]
+    first = np.nonzero(ranks == 0)[0]
     result = SolutionSet(F[first], X[first]).validate()
     return RunResult(result, evaluations, time.perf_counter() - start, seed, pop)
-
-
-def _first_front_mask(F: np.ndarray) -> np.ndarray:
-    from .. import _kernels
-
-    return _kernels.nd_mask(np.ascontiguousarray(F))

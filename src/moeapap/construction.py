@@ -182,14 +182,8 @@ class _Evaluator:
         self.Z = Z
         self.cache = cache if cache is not None else EvalCache()
         self.runner = runner
-        self._ctx: dict[str, indicators.HvContext] = {}
         self._omega_memo: dict[tuple, float] = {}
         self.failures: list[tuple[str, str, str]] = []
-
-    def ctx(self, name: str) -> indicators.HvContext:
-        if name not in self._ctx:
-            self._ctx[name] = indicators.HvContext.for_problem(name)
-        return self._ctx[name]
 
     def member_set(self, config, entry: TrainingProblem, seed: int):
         cached = self.cache.lookup(config, entry.name, seed)
@@ -208,7 +202,8 @@ class _Evaluator:
             self.failures.append((config.label(), entry.name, f"{type(exc).__name__}: {exc}"))
             self.cache.put(config, entry.name, seed, None, None)
             return (None, None)
-        metric = indicators.ihvr(result.solution_set, self.ctx(entry.name))
+        ctx = indicators.HvContext.for_problem(entry.name)
+        metric = indicators.ihvr(result.solution_set, ctx)
         self.cache.put(config, entry.name, seed, result.solution_set, metric)
         return (result.solution_set, metric)
 
@@ -233,7 +228,8 @@ class _Evaluator:
             if not sets:
                 continue  # every member failed here: contributes zero
             merged = restructure(sets, cap=entry.budget.pop_size)
-            merged_metric = indicators.ihvr(merged, self.ctx(entry.name))
+            ctx = indicators.HvContext.for_problem(entry.name)
+            merged_metric = indicators.ihvr(merged, ctx)
             total += max(best, merged_metric)
         value = total / len(entry.seeds)
         self._omega_memo[memo_key] = value

@@ -10,7 +10,6 @@ solution sets are merged, see :mod:`moeapap.portfolio`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -24,36 +23,6 @@ class ContractViolationError(ValueError):
 
 class ConfigurationError(ValueError):
     """Invalid algorithm, problem or experiment configuration."""
-
-
-class Dominance(Enum):
-    A_DOMINATES = "a_dominates"
-    B_DOMINATES = "b_dominates"
-    INCOMPARABLE = "incomparable"
-    EQUAL = "equal"
-
-
-def dominates(a, b) -> Dominance:
-    """Classify the Pareto relation between two objective vectors.
-
-    ``A_DOMINATES`` means ``a`` is no worse in every component and strictly
-    better in at least one (minimization).
-    """
-    av = np.asarray(a, dtype=np.float64)
-    bv = np.asarray(b, dtype=np.float64)
-    if av.shape != bv.shape or av.ndim != 1:
-        raise ContractViolationError(
-            f"objective vectors must be 1-d and equally sized, got {av.shape} vs {bv.shape}"
-        )
-    if not (np.isfinite(av).all() and np.isfinite(bv).all()):
-        raise ContractViolationError("objective vectors must be finite")
-    if np.array_equal(av, bv):
-        return Dominance.EQUAL
-    if (av <= bv).all():
-        return Dominance.A_DOMINATES
-    if (bv <= av).all():
-        return Dominance.B_DOMINATES
-    return Dominance.INCOMPARABLE
 
 
 @dataclass(frozen=True)
@@ -95,12 +64,6 @@ def nondominated_indices(F) -> np.ndarray:
     return np.nonzero(_kernels.nd_mask(arr))[0]
 
 
-def nondominated_filter(F) -> SolutionSet:
-    """Extract the non-dominated rows of an objective array as a SolutionSet."""
-    arr = as_objectives(F)
-    return SolutionSet(arr[nondominated_indices(arr)])
-
-
 def fast_nondominated_sort(F) -> list[np.ndarray]:
     """Partition rows of ``F`` into Pareto fronts (rank 0 first)."""
     arr = as_objectives(F)
@@ -108,18 +71,6 @@ def fast_nondominated_sort(F) -> list[np.ndarray]:
         return []
     ranks = _kernels.nds_ranks(arr)
     return [np.nonzero(ranks == r)[0] for r in range(int(ranks.max()) + 1)]
-
-
-def crowding_distance(F) -> np.ndarray:
-    """NSGA-II crowding distance of each row within its (single) front.
-
-    Per-objective extremes get +inf; objectives with zero range contribute
-    nothing to interior distances.
-    """
-    arr = as_objectives(F)
-    if arr.shape[0] == 0:
-        return np.empty(0)
-    return _kernels.crowding(arr)
 
 
 def crowding_truncate_indices(F, k: int) -> np.ndarray:

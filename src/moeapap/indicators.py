@@ -1,6 +1,6 @@
 """Quality indicators: exact hypervolume (2 and 3 objectives), a Monte-Carlo
-hypervolume estimator, IGD, and the normalized hypervolume ratios used to
-compare solution sets across problems.
+hypervolume estimator, IGD, and the normalized hypervolume ratio ``ihvr``
+used to compare solution sets across problems.
 
 The normalized metrics work against a fixed per-problem context: the
 objective box [ideal, upper] provides both the reference point (upper
@@ -123,7 +123,18 @@ class HvContext:
 
     @classmethod
     def for_problem(cls, name: str) -> "HvContext":
-        return cls.from_front(problems.reference_front(name), problems.objective_box(name))
+        """The named problem's context, built once per process and shared;
+        its arrays are read-only."""
+        key = problems.get_problem(name).name
+        if key not in _PROBLEM_CONTEXTS:
+            ctx = cls.from_front(problems.reference_front(key), problems.objective_box(key))
+            ctx.reference_point.flags.writeable = False
+            ctx.objective_box.flags.writeable = False
+            _PROBLEM_CONTEXTS[key] = ctx
+        return _PROBLEM_CONTEXTS[key]
+
+
+_PROBLEM_CONTEXTS: dict[str, HvContext] = {}
 
 
 def clip_to_box(points, box) -> np.ndarray:
@@ -133,14 +144,6 @@ def clip_to_box(points, box) -> np.ndarray:
         return F
     box = np.asarray(box, dtype=np.float64)
     return np.clip(F, box[:, 0], box[:, 1])
-
-
-def hvr(points, ctx: HvContext) -> float:
-    """Hypervolume of the set divided by the reference front's hypervolume."""
-    if ctx.hv_star <= 0.0:
-        raise ConfigurationError("context has zero reference hypervolume")
-    hv = hypervolume(clip_to_box(points, ctx.objective_box), ctx.reference_point)
-    return hv / ctx.hv_star
 
 
 def ihvr(points, ctx: HvContext) -> float:

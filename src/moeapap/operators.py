@@ -1,11 +1,19 @@
 """Variation operators: SBX, polynomial mutation, the DE mutation family
 and PSO velocity/position updates.
 
+Every operator works on a batch: decision vectors are the rows of an
+``(n, d)`` array, and a 1-d vector is one row (returned as a 1-d vector).
 Every operator is a pure function of its inputs plus an explicit
 ``numpy.random.Generator``; replaying the generator reproduces outputs
-bitwise.  Random draws follow a fixed per-call pattern (one uniform per
-dimension where the formulas ask for it) so results do not depend on data
-values consuming different amounts of randomness.
+bitwise.  Each call draws its random numbers as whole blocks shaped like
+the batch (``rng.random(x.shape)``, one block per kind of draw, in a fixed
+order), so the stream depends on the batch shape and never on data values,
+and row ``i`` of a batched result equals a one-row call fed row ``i`` of
+each block.
+
+SBX, PM and DE also expose their arithmetic on pre-drawn uniforms
+(``sbx_apply``, ``pm_apply``, ``de_apply``): the steady-state MOEA/D loop
+draws a generation's blocks up front and builds one child at a time.
 """
 
 from __future__ import annotations
@@ -22,7 +30,6 @@ DE_VARIANTS = ("rand_p", "best_p", "current_to_rand_p", "current_to_best_p")
 @dataclass(frozen=True)
 class SbxParams:
     eta: int
-    p_c: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -77,45 +84,59 @@ class PsoParams:
 
 
 def clamp(X: np.ndarray, bounds: np.ndarray) -> np.ndarray:
-    return np.clip(X, bounds[:, 0], bounds[:, 1])
+    # np.clip's own overhead dominates on single rows
+    return np.minimum(np.maximum(X, bounds[:, 0]), bounds[:, 1])
 
 
 def sbx_crossover(x1, x2, params: SbxParams, bounds, rng) -> tuple[np.ndarray, np.ndarray]:
-    """Simulated binary crossover.
+    """Simulated binary crossover of the parent rows ``x1[i]``, ``x2[i]``.
 
     Follows the standard application scheme: each variable is crossed with
     probability 0.5 (copied from the parents otherwise) using one spread
-    factor drawn per dimension, and the two offspring values are exchanged
-    per variable with probability 0.5.  Draw order: crossing mask, spread
-    uniforms, exchange mask.
+    factor drawn per variable, and the two offspring values are exchanged
+    per variable with probability 0.5.  Draw order: crossing uniforms,
+    spread uniforms, exchange uniforms.
     """
     x1 = np.asarray(x1, dtype=np.float64)
     x2 = np.asarray(x2, dtype=np.float64)
     if x1.shape != x2.shape:
-        raise ContractViolationError("SBX parents must have equal length")
-    if params.p_c < 1.0 and rng.random() > params.p_c:
-        return x1.copy(), x2.copy()
-    cross = rng.random(x1.size) < 0.5
-    r = rng.random(x1.size)
+        raise ContractViolationError("SBX parents must have equal shapes")
+    U = np.stack([rng.random(x1.shape) for _ in range(3)])
+    return sbx_apply(x1, x2, params, bounds, U)
+
+
+def sbx_apply(x1, x2, params: SbxParams, bounds, U) -> tuple[np.ndarray, np.ndarray]:
+    """SBX on pre-drawn uniforms ``U = (crossing, spread, exchange)``."""
+    cross = U[0] < 0.5
+    r = U[1]
     exponent = 1.0 / (1.0 + params.eta)
     beta = np.where(r <= 0.5, (2.0 * r) ** exponent, (1.0 / (2.0 - 2.0 * r)) ** exponent)
     c1 = 0.5 * ((1.0 + beta) * x1 + (1.0 - beta) * x2)
     c2 = 0.5 * ((1.0 - beta) * x1 + (1.0 + beta) * x2)
     c1 = np.where(cross, c1, x1)
     c2 = np.where(cross, c2, x2)
-    exchange = rng.random(x1.size) < 0.5
+    exchange = U[2] < 0.5
     c1, c2 = np.where(exchange, c2, c1), np.where(exchange, c1, c2)
     return clamp(c1, bounds), clamp(c2, bounds)
 
 
 def polynomial_mutation(x, params: PmParams, bounds, rng) -> np.ndarray:
-    """Polynomial mutation with per-variable probability ``p_m``."""
+    """Polynomial mutation of every row with per-variable probability ``p_m``.
+
+    Draw order: application uniforms, then the perturbation uniforms.
+    """
     x = np.asarray(x, dtype=np.float64)
+    U = np.stack([rng.random(x.shape) for _ in range(2)])
+    return pm_apply(x, params, bounds, U)
+
+
+def pm_apply(x, params: PmParams, bounds, U) -> np.ndarray:
+    """Polynomial mutation on pre-drawn uniforms ``U = (application, perturbation)``."""
     lo = bounds[:, 0]
     hi = bounds[:, 1]
     span = hi - lo
-    apply = rng.random(x.size) < params.p_m
-    r = rng.random(x.size)
+    apply = U[0] < params.p_m
+    r = U[1]
     with np.errstate(divide="ignore", invalid="ignore"):
         d_up = np.where(span > 0, (hi - x) / span, 0.0)
         d_down = np.where(span > 0, (x - lo) / span, 0.0)
@@ -123,33 +144,47 @@ def polynomial_mutation(x, params: PmParams, bounds, rng) -> np.ndarray:
     low_branch = (2.0 * r + (1.0 - 2.0 * r) * d_up ** (params.eta + 1.0)) ** exponent - 1.0
     high_branch = 1.0 - (2.0 * (1.0 - r) + (2.0 * r - 1.0) * d_down ** (params.eta + 1.0)) ** exponent
     delta = np.where(r <= 0.5, low_branch, high_branch)
-    out = np.where(apply, x + delta * span, x)
-    return clamp(out, bounds)
+    return clamp(np.where(apply, x + delta * span, x), bounds)
 
 
 def de_mutation(target, base, pairs_a, pairs_b, params: DeParams, bounds, rng) -> np.ndarray:
-    """One DE trial vector.
+    """DE trial vectors, one per row of ``target``.
 
-    ``base`` is the randomly chosen donor for rand/current-to-rand variants
-    or the population-best donor for best variants; ``pairs_a``/``pairs_b``
-    hold the ``p`` difference pairs as (p, d) stacks.  The forced dimension
-    always takes the mutated value.
+    ``base`` holds the randomly chosen donor rows for rand/current-to-rand
+    variants or the population-best donors for best variants;
+    ``pairs_a``/``pairs_b`` hold each row's ``p`` difference pairs, shaped
+    ``(n, p, d)`` (``(p, d)`` for a single row).
     """
     target = np.asarray(target, dtype=np.float64)
-    base = np.asarray(base, dtype=np.float64)
-    pairs_a = np.atleast_2d(np.asarray(pairs_a, dtype=np.float64))
-    pairs_b = np.atleast_2d(np.asarray(pairs_b, dtype=np.float64))
-    if pairs_a.shape != pairs_b.shape or pairs_a.shape[0] != params.p:
+    return de_apply(target, base, pairs_a, pairs_b, params, bounds,
+                    de_crossover_mask(target.shape, params.CR, rng))
+
+
+def de_crossover_mask(shape, cr: float, rng) -> np.ndarray:
+    """Binomial crossover mask: each variable with probability ``cr``, plus
+    one forced variable per row.  Draw order: uniforms, forced indices."""
+    r = rng.random(shape)
+    forced = rng.integers(shape[-1], size=shape[:-1])
+    return (r <= cr) | (np.arange(shape[-1]) == forced[..., None])
+
+
+def de_apply(target, base, pairs_a, pairs_b, params: DeParams, bounds, mask) -> np.ndarray:
+    """DE trial vectors from donor rows and a crossover ``mask``; masked
+    variables take the mutated value, the rest keep the target's."""
+    target = np.asarray(target, dtype=np.float64)
+    pairs_a = np.asarray(pairs_a, dtype=np.float64)
+    pairs_b = np.asarray(pairs_b, dtype=np.float64)
+    if (
+        pairs_a.shape != pairs_b.shape
+        or pairs_a.ndim != target.ndim + 1
+        or pairs_a.shape[-2] != params.p
+    ):
         raise ContractViolationError("DE difference pairs do not match the configured p")
-    diff = (pairs_a - pairs_b).sum(axis=0)
+    diff = (pairs_a - pairs_b).sum(axis=-2)
     if params.is_current_to:
         mutant = target + params.K * (base - target) + params.F * diff
     else:
         mutant = base + params.F * diff
-    r = rng.random(target.size)
-    j_r = rng.integers(target.size)
-    mask = r <= params.CR
-    mask[j_r] = True
     return clamp(np.where(mask, mutant, target), bounds)
 
 
@@ -166,21 +201,23 @@ def pso_update(
     params: PsoParams,
     bounds,
     rng,
-    particle_index: int = 0,
+    particle_index=0,
     generation: int = 0,
     max_generations: int = 1,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One particle step: velocity update, cap, move, bound damping, mutation.
+    """One swarm step: velocity update, cap, move, bound damping, mutation.
 
-    Returns ``(new_velocity, new_position)``.
+    ``particle_index`` gives each row's index in the swarm, which picks the
+    rows of the SMPSO (1 in 6) and OMOPSO (1 in 3 of each kind) mutation
+    stripes.  Returns ``(new_velocity, new_position)``.
     """
     x = np.asarray(x, dtype=np.float64)
     velocity = np.asarray(velocity, dtype=np.float64)
     lo = bounds[:, 0]
     hi = bounds[:, 1]
     span = hi - lo
-    r1 = rng.random(x.size)
-    r2 = rng.random(x.size)
+    r1 = rng.random(x.shape)
+    r2 = rng.random(x.shape)
     v = params.w * velocity + params.c1 * r1 * (pbest - x) + params.c2 * r2 * (gbest - x)
     if isinstance(params.mutation, SmpsoMutation) and params.mutation.constriction:
         v = v * smpso_constriction(params.c1, params.c2)
@@ -192,39 +229,38 @@ def pso_update(
     hit = below | above
     pos = np.where(below, lo, np.where(above, hi, pos))
     v = np.where(hit, -params.v_change * v, v)
-    pos = _pso_mutation(pos, params, bounds, rng, particle_index, generation, max_generations)
+    _pso_mutation(pos, params, bounds, rng, np.asarray(particle_index), generation, max_generations)
     return v, pos
 
 
 def _pso_mutation(pos, params, bounds, rng, index, generation, max_generations):
+    """Mutate the stripe rows of ``pos`` in place."""
     scheme = params.mutation
     if isinstance(scheme, SmpsoMutation):
         # polynomial mutation on a fixed 1-in-6 stripe of the swarm
-        if index % 6 == 0:
-            pm = PmParams(eta=scheme.eta_pm, p_m=1.0 / pos.size)
-            pos = polynomial_mutation(pos, pm, bounds, rng)
+        rows = index % 6 == 0
+        pm = PmParams(eta=scheme.eta_pm, p_m=1.0 / pos.shape[-1])
+        pos[rows] = polynomial_mutation(pos[rows], pm, bounds, rng)
     elif isinstance(scheme, OmopsoMutation):
-        stripe = index % 3
-        if stripe == 0:
-            pos = _uniform_mutation(pos, scheme.b, bounds, rng)
-        elif stripe == 1:
-            pos = _nonuniform_mutation(pos, bounds, rng, generation, max_generations)
-    return pos
+        uniform = index % 3 == 0
+        nonuniform = index % 3 == 1
+        pos[uniform] = _uniform_mutation(pos[uniform], scheme.b, bounds, rng)
+        pos[nonuniform] = _nonuniform_mutation(pos[nonuniform], bounds, rng, generation, max_generations)
 
 
 def _uniform_mutation(pos, b, bounds, rng):
     span = bounds[:, 1] - bounds[:, 0]
-    apply = rng.random(pos.size) < 1.0 / pos.size
-    shift = (2.0 * rng.random(pos.size) - 1.0) * b * span / 100.0
+    apply = rng.random(pos.shape) < 1.0 / pos.shape[-1]
+    shift = (2.0 * rng.random(pos.shape) - 1.0) * b * span / 100.0
     return clamp(np.where(apply, pos + shift, pos), bounds)
 
 
 def _nonuniform_mutation(pos, bounds, rng, generation, max_generations, degree: float = 5.0):
     lo = bounds[:, 0]
     hi = bounds[:, 1]
-    apply = rng.random(pos.size) < 1.0 / pos.size
-    up = rng.random(pos.size) < 0.5
-    r = rng.random(pos.size)
+    apply = rng.random(pos.shape) < 1.0 / pos.shape[-1]
+    up = rng.random(pos.shape) < 0.5
+    r = rng.random(pos.shape)
     frac = min(generation / max(max_generations, 1), 1.0)
     shrink = 1.0 - r ** ((1.0 - frac) ** degree)
     delta = np.where(up, (hi - pos) * shrink, -(pos - lo) * shrink)

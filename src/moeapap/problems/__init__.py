@@ -28,7 +28,6 @@ __all__ = [
     "UnsupportedProblemError",
     "available_problems",
     "default_budget",
-    "evaluate",
     "get_problem",
     "objective_box",
     "reference_front",
@@ -162,11 +161,6 @@ def get_problem(name: str) -> Problem:
         if key in _REGISTRY:
             return _REGISTRY[key]
     raise UnsupportedProblemError(f"unknown benchmark problem {name!r}")
-
-
-def evaluate(name: str, x) -> np.ndarray:
-    """Evaluate a decision vector (or batch) on the named benchmark."""
-    return get_problem(name).evaluate(x)
 
 
 @lru_cache(maxsize=None)

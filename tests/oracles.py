@@ -119,3 +119,27 @@ def count_weakly_dominated(samples, F):
         any(all(fk <= sk for fk, sk in zip(f, s)) for f in rows)
         for s in map(tuple, samples)
     )
+
+
+def pareto_relation(a, b):
+    """``"a"`` if ``a`` dominates ``b``, ``"b"`` if ``b`` dominates ``a``,
+    else ``"equal"`` or ``"incomparable"``, compared component by component."""
+    pairs = list(zip(a, b))
+    if all(x == y for x, y in pairs):
+        return "equal"
+    if all(x <= y for x, y in pairs):
+        return "a"
+    if all(y <= x for x, y in pairs):
+        return "b"
+    return "incomparable"
+
+
+def pbest_replaced_by_rows(F, pbest_F, coin):
+    """Personal-best replacement decided row by row: the new objective row
+    replaces the old one when it dominates it, or when the two are
+    incomparable and the row's coin is set."""
+    out = []
+    for f, p, c in zip(F, pbest_F, coin):
+        relation = pareto_relation(f, p)
+        out.append(relation == "a" or (relation == "incomparable" and bool(c)))
+    return np.asarray(out, dtype=bool)

@@ -3,17 +3,20 @@
 import numpy as np
 import pytest
 
-from moeapap._kernels import nd_mask
+from moeapap._kernels import nd_mask, nds_ranks
 from moeapap._seeding import rng_for
 from moeapap.algorithms import (
     AlgorithmConfig,
     RunBudget,
     run,
 )
-from moeapap.algorithms.common import environmental_select, init_population
+from moeapap.algorithms.common import binary_tournament, environmental_select, init_population
 from moeapap.algorithms.moead import simplex_weights, tchebycheff
+from moeapap.algorithms.mopso import _GridArchive, pbest_replaced
 from moeapap.core import ConfigurationError
 from moeapap.problems import get_problem
+
+from .oracles import brute_force_peel_ranks, pbest_replaced_by_rows
 
 
 def nsga2_sbx(**kw):
@@ -114,32 +117,51 @@ class TestNsga2:
     def test_elitism_objective_minima_non_increasing(self):
         # rerun the loop manually to observe per-generation minima
         from moeapap import operators
-        from moeapap.algorithms.common import binary_tournament, rank_and_crowd
+        from moeapap.algorithms.common import binary_tournament, crowding_by_front
 
         p = get_problem("ZDT1")
         rng = rng_for("elitism")
         X = init_population(p, 24, rng)
         F = p.evaluate(X)
+        ranks = nds_ranks(np.ascontiguousarray(F))
         sbx = operators.SbxParams(eta=15)
         pm = operators.PmParams(eta=20, p_m=1 / 30)
         prev_best = F.min(axis=0)
         for _ in range(12):
-            ranks, crowd, _fronts = rank_and_crowd(F)
-            children = np.empty_like(X)
-            for pair in range(12):
-                a = binary_tournament(ranks, crowd, rng)
-                b = binary_tournament(ranks, crowd, rng)
-                c1, c2 = operators.sbx_crossover(X[a], X[b], sbx, p.bounds, rng)
-                children[2 * pair] = operators.polynomial_mutation(c1, pm, p.bounds, rng)
-                children[2 * pair + 1] = operators.polynomial_mutation(c2, pm, p.bounds, rng)
+            crowd = crowding_by_front(F, ranks)
+            parents = X[binary_tournament(ranks, crowd, 24, rng)]
+            c1, c2 = operators.sbx_crossover(parents[0::2], parents[1::2], sbx, p.bounds, rng)
+            children = operators.polynomial_mutation(np.vstack((c1, c2)), pm, p.bounds, rng)
             Fc = p.evaluate(children)
             Xu = np.vstack((X, children))
             Fu = np.vstack((F, Fc))
-            keep = environmental_select(Fu, 24)
+            keep, ranks = environmental_select(Fu, 24)
             X, F = Xu[keep], Fu[keep]
             best = F.min(axis=0)
             assert (best <= prev_best + 1e-15).all()
             prev_best = best
+
+    def test_environmental_select_ranks_match_peeling(self):
+        rng = np.random.default_rng(31)
+        for n, m, k in [(60, 2, 25), (80, 3, 40), (50, 2, 50)]:
+            F = np.round(rng.random((n, m)), 1)  # ties and duplicates included
+            keep, ranks = environmental_select(F, k)
+            assert keep.size == k
+            assert np.array_equal(ranks, brute_force_peel_ranks(F)[keep])
+            assert np.array_equal(ranks, brute_force_peel_ranks(F[keep]))
+
+    def test_binary_tournament_rank_then_crowding_then_first(self):
+        class Pairs:
+            def integers(self, low, high, size):
+                assert size == (4, 2)
+                return np.array([[0, 1], [2, 1], [2, 3], [3, 2]])
+
+        ranks = np.array([1, 0, 0, 0])
+        crowd = np.array([9.0, 0.5, 0.5, np.inf])
+        # lower rank wins; then larger crowding; on a full tie the first entrant
+        assert binary_tournament(ranks, crowd, 4, Pairs()).tolist() == [1, 2, 3, 3]
+        crowd[3] = 0.5
+        assert binary_tournament(ranks, crowd, 4, Pairs()).tolist() == [1, 2, 2, 3]
 
     def test_donor_shortage_rejected(self):
         cfg = AlgorithmConfig.make("NSGA2", "rand_p", F=0.5, CR=0.5, p=2)
@@ -175,6 +197,26 @@ class TestMoead:
         g = tchebycheff(np.array([[2.0, 3.0]]), np.array([0.0, 1.0]), np.array([0.0, 0.0]))
         assert g[0] == pytest.approx(3.0)
 
+    @pytest.mark.parametrize("ps", [0.0, 1.0])
+    @pytest.mark.parametrize("operator,params", [
+        ("sbx_pm", dict(eta_sbx=15, eta_pm=20)),
+        ("rand_p", dict(F=0.5, CR=0.5, p=1)),
+        ("rand_p", dict(F=0.5, CR=0.5, p=2)),
+        ("current_to_rand_p", dict(F=0.5, K=0.5, CR=0.5, p=1)),
+        # p=2 is outside the schema for current-to-rand; the engine still supports it
+        ("current_to_rand_p", dict(F=0.5, K=0.5, CR=0.5, p=2)),
+    ])
+    def test_every_operator_row(self, operator, params, ps):
+        extras = dict(ps=ps, n_r=2, neighbor_size=10)
+        cfg = AlgorithmConfig("MOEAD", operator, tuple(sorted({**params, **extras}.items())))
+        p = get_problem("ZDT2")
+        budget = RunBudget(20, 6)
+        r1 = run(cfg, p, budget, seed=12)
+        r2 = run(cfg, p, budget, seed=12)
+        r1.solution_set.validate()
+        assert r1.evaluations == 20 * 7
+        assert np.array_equal(r1.solution_set.decisions, r2.solution_set.decisions)
+
     def test_ps_one_uses_neighborhood_only(self):
         # with ps=1 and a tiny neighborhood, far subproblems can only change
         # via their own offspring; just assert the run completes and is valid
@@ -200,6 +242,44 @@ class TestMopso:
         expected = F[nd_mask(np.ascontiguousarray(F))]
         got = result.solution_set.objectives
         assert sorted(map(tuple, got)) == sorted(map(tuple, expected))
+
+    def test_pbest_rule_matches_row_oracle(self):
+        rng = np.random.default_rng(41)
+        for m in (2, 3):
+            # a coarse grid makes equal and weakly dominating rows common
+            F = rng.integers(0, 3, size=(400, m)).astype(float)
+            P = rng.integers(0, 3, size=(400, m)).astype(float)
+            coin = rng.random(400) < 0.5
+            assert np.array_equal(pbest_replaced(F, P, coin), pbest_replaced_by_rows(F, P, coin))
+
+    def test_select_leader_members_and_cell_frequencies(self):
+        # 2x2 grid holding 1, 2, 3 and 4 members; a cell is drawn with
+        # probability proportional to 1/count, then a member uniformly
+        cells = [(0, 0)] + [(1, 0)] * 2 + [(0, 1)] * 3 + [(1, 1)] * 4
+        F = np.array([[0.1 + 0.8 * cx, 0.1 + 0.8 * cy] for cx, cy in cells])
+        F[0] = [0.0, 0.0]
+        F[-1] = [1.0, 1.0]
+        archive = _GridArchive(20, 2, rng_for("leaders"), n_vars=1, m=2)
+        archive.F = F
+        archive.X = np.arange(len(F), dtype=float)[:, None]
+        draws = 40_000
+        leaders = archive.select_leader(draws)
+        assert leaders.shape == (draws, 1)
+        picked = leaders[:, 0].astype(int)
+        assert np.array_equal(leaders[:, 0], picked)  # only archive members
+        counts = np.bincount(picked, minlength=len(F))
+        weights = np.array([1.0, 1 / 2, 1 / 3, 1 / 4])
+        p_cell = weights / weights.sum()
+        for cell, members in enumerate([[0], [1, 2], [3, 4, 5], [6, 7, 8, 9]]):
+            for p, observed in ((p_cell[cell], counts[members].sum()),
+                                *((p_cell[cell] / len(members), counts[i]) for i in members)):
+                # within five standard errors of the binomial count
+                assert abs(observed / draws - p) < 5 * np.sqrt(p * (1 - p) / draws)
+
+    def test_select_leader_single_member(self):
+        archive = _GridArchive(5, 4, rng_for("one"), n_vars=2, m=2)
+        archive.insert(np.array([0.3, 0.7]), np.array([1.0, 2.0]))
+        assert np.array_equal(archive.select_leader(3), np.tile([0.3, 0.7], (3, 1)))
 
     def test_archive_capacity_invariant(self):
         result = run(mopso_cfg(), get_problem("ZDT1"), RunBudget(25, 40), seed=6)

@@ -1,19 +1,17 @@
-"""Dominance, sorting and truncation against brute-force oracles."""
+"""Non-dominated filtering, sorting and truncation against brute-force oracles."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from moeapap._kernels import crowding
+from moeapap.algorithms.mopso import pbest_replaced
 from moeapap.core import (
     ContractViolationError,
-    Dominance,
     SolutionSet,
-    crowding_distance,
     crowding_truncate_indices,
-    dominates,
     fast_nondominated_sort,
-    nondominated_filter,
     nondominated_indices,
 )
 
@@ -21,22 +19,24 @@ from .oracles import brute_force_nd_indices, brute_force_peel_ranks
 
 
 class TestDominates:
+    """The pairwise Pareto relation, as the MOPSO personal-best rule applies
+    it row by row: with the coin unset a new row replaces an old one
+    exactly when it dominates it."""
+
+    @staticmethod
+    def replaced(a, b, coin=False):
+        return bool(pbest_replaced(np.array([a], float), np.array([b], float), np.array([coin]))[0])
+
     def test_strict_improvement(self):
-        assert dominates((1, 2), (2, 3)) is Dominance.A_DOMINATES
+        assert self.replaced((1, 2), (2, 3))
+        assert not self.replaced((2, 3), (1, 2), coin=True)
 
     def test_identity(self):
-        assert dominates((1, 2), (1, 2)) is Dominance.EQUAL
+        assert not self.replaced((1, 2), (1, 2), coin=True)
 
     def test_tradeoff(self):
-        assert dominates((1, 3), (2, 2)) is Dominance.INCOMPARABLE
-
-    def test_length_mismatch(self):
-        with pytest.raises(ContractViolationError):
-            dominates((1, 2), (1, 2, 3))
-
-    def test_nonfinite(self):
-        with pytest.raises(ContractViolationError):
-            dominates((np.nan, 1.0), (0.0, 0.0))
+        assert self.replaced((1, 3), (2, 2), coin=True)
+        assert not self.replaced((1, 3), (2, 2), coin=False)
 
     @given(
         st.lists(st.floats(-10, 10, allow_nan=False), min_size=2, max_size=3),
@@ -45,39 +45,36 @@ class TestDominates:
     def test_antisymmetry(self, a, b):
         if len(a) != len(b):
             return
-        rel = dominates(a, b)
-        inverse = dominates(b, a)
-        if rel is Dominance.A_DOMINATES:
-            assert inverse is Dominance.B_DOMINATES
-        elif rel is Dominance.B_DOMINATES:
-            assert inverse is Dominance.A_DOMINATES
-        else:
-            assert inverse is rel
+        a_dom, b_dom = self.replaced(a, b), self.replaced(b, a)
+        assert not (a_dom and b_dom)
+        if not (a_dom or b_dom):
+            # equal or incomparable: the coin decides both ways alike
+            assert self.replaced(a, b, coin=True) == self.replaced(b, a, coin=True)
 
     @settings(max_examples=200)
     @given(st.integers(0, 2**32 - 1))
     def test_transitivity_on_sampled_triples(self, seed):
         rng = np.random.default_rng(seed)
         a, b, c = rng.integers(0, 4, size=(3, 3)).astype(float)
-        if dominates(a, b) is Dominance.A_DOMINATES and dominates(b, c) is Dominance.A_DOMINATES:
-            assert dominates(a, c) is Dominance.A_DOMINATES
+        if self.replaced(a, b) and self.replaced(b, c):
+            assert self.replaced(a, c)
 
 
 class TestNondominatedFilter:
     def test_simple(self):
         F = np.array([[1.0, 2.0], [2.0, 1.0], [2.0, 2.0]])
-        kept = nondominated_filter(F).objectives
+        kept = F[nondominated_indices(F)]
         assert sorted(map(tuple, kept)) == [(1.0, 2.0), (2.0, 1.0)]
 
     def test_singleton(self):
-        assert len(nondominated_filter(np.array([[0.0, 0.0]]))) == 1
+        assert nondominated_indices(np.array([[0.0, 0.0]])).tolist() == [0]
 
     def test_empty(self):
-        assert len(nondominated_filter(np.empty((0, 2)))) == 0
+        assert nondominated_indices(np.empty((0, 2))).size == 0
 
     def test_equal_vectors_both_kept(self):
         F = np.array([[1.0, 1.0], [1.0, 1.0], [2.0, 2.0]])
-        assert len(nondominated_filter(F)) == 2
+        assert nondominated_indices(F).size == 2
 
     def test_matches_brute_force_oracle(self):
         rng = np.random.default_rng(11)
@@ -87,8 +84,8 @@ class TestNondominatedFilter:
     def test_idempotent(self):
         rng = np.random.default_rng(12)
         F = rng.random((80, 3))
-        once = nondominated_filter(F).objectives
-        twice = nondominated_filter(once).objectives
+        once = F[nondominated_indices(F)]
+        twice = once[nondominated_indices(once)]
         assert np.array_equal(once, twice)
 
 
@@ -121,14 +118,14 @@ class TestFastNondominatedSort:
 class TestCrowding:
     def test_boundaries_infinite(self):
         F = np.array([[0.0, 4.0], [1.0, 3.0], [2.0, 2.0], [3.0, 1.0], [4.0, 0.0]])
-        d = crowding_distance(F)
+        d = crowding(F)
         assert np.isinf(d[0]) and np.isinf(d[4])
         # hand computation: every interior point spans 2/4 per objective
         assert d[1] == d[2] == d[3] == pytest.approx(1.0)
 
     def test_zero_range_objective(self):
         F = np.array([[0.0, 1.0], [1.0, 1.0], [2.0, 1.0]])
-        d = crowding_distance(F)
+        d = crowding(F)
         assert d[1] == pytest.approx(1.0)  # only the varying objective counts
 
     def test_truncate_noop(self):

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from moeapap.core import ConfigurationError, SolutionSet
+from moeapap.problems import objective_box, reference_front
 from moeapap.indicators import (
     HvContext,
     UnsupportedDimensionError,
     clip_to_box,
     hv_monte_carlo,
-    hvr,
     hypervolume,
     igd,
     ihvr,
@@ -123,12 +123,10 @@ class TestRatios:
     def test_front_scores_one(self):
         ctx = _toy_ctx()
         front = np.array([[0.0, 1.0], [0.25, 0.5], [0.5, 0.25], [1.0, 0.0]])
-        assert hvr(front, ctx) == pytest.approx(1.0)
         assert ihvr(front, ctx) == pytest.approx(1.0)
 
     def test_empty_set(self):
         ctx = _toy_ctx()
-        assert hvr(np.empty((0, 2)), ctx) == 0.0
         assert ihvr(np.empty((0, 2)), ctx) == pytest.approx(
             (ctx.hv_all - ctx.hv_star) / ctx.hv_all
         )
@@ -136,7 +134,8 @@ class TestRatios:
     def test_single_point_against_oracle(self):
         ctx = _toy_ctx()
         hv = rectangle_union_area([[0.5, 0.5]], ctx.reference_point)
-        assert hvr([[0.5, 0.5]], ctx) == pytest.approx(hv / ctx.hv_star, rel=1e-12)
+        expected = (ctx.hv_all - ctx.hv_star) / (ctx.hv_all - hv)
+        assert ihvr([[0.5, 0.5]], ctx) == pytest.approx(expected, rel=1e-12)
 
     def test_ordering_consistency(self):
         # ihvr is a strictly increasing transform of hv
@@ -170,6 +169,18 @@ class TestRatios:
         ctx = HvContext.for_problem("ZDT1")
         assert ctx.hv_star <= ctx.hv_all
         assert ctx.reference_point == pytest.approx([1.0, 10.0])
+
+    def test_problem_context_shared_and_read_only(self):
+        ctx = HvContext.for_problem("WFG4")
+        assert HvContext.for_problem("wfg4") is ctx  # one context per canonical name
+        for arr in (ctx.reference_point, ctx.objective_box):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+        fresh = HvContext.from_front(reference_front("WFG4"), objective_box("WFG4"))
+        assert np.array_equal(ctx.reference_point, fresh.reference_point)
+        assert np.array_equal(ctx.objective_box, fresh.objective_box)
+        assert (ctx.hv_star, ctx.hv_all) == (fresh.hv_star, fresh.hv_all)
 
     def test_solution_set_inputs(self):
         ctx = _toy_ctx()

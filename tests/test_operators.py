@@ -13,16 +13,20 @@ UNIT = np.array([[0.0, 1.0]])
 
 
 class _StubRng:
-    """Deterministic stand-in feeding scripted uniforms."""
+    """Deterministic stand-in feeding scripted uniform and integer blocks."""
 
-    def __init__(self, randoms):
+    def __init__(self, randoms, integers=()):
         self._randoms = list(randoms)
+        self._integers = list(integers)
 
     def random(self, size=None):
         block = self._randoms.pop(0)
         if size is None:
             return block
         return np.asarray(block, dtype=np.float64)
+
+    def integers(self, high, size=None):
+        return np.asarray(self._integers.pop(0))
 
 
 def unit_bounds(d):
@@ -256,6 +260,105 @@ class TestPsoUpdate:
         phi = 5.0
         expected = 2.0 / abs(2.0 - phi - np.sqrt(phi * phi - 4 * phi))
         assert operators.smpso_constriction(2.5, 2.5) == pytest.approx(expected)
+
+
+def _rows_like_single_calls(batched, single, n):
+    for i in range(n):
+        for got, want in zip(batched, single(i)):
+            np.testing.assert_allclose(got[i], want, rtol=1e-14, atol=1e-15)
+
+
+class TestBatchedRows:
+    """Row i of a batched call equals a one-row call fed row i of each block."""
+
+    n, d = 7, 5
+
+    def _data(self, tag, k):
+        rng = rng_for("batched", tag)
+        return [rng.random((self.n, self.d)) for _ in range(k)]
+
+    def test_sbx_rows(self):
+        x1, x2, *U = self._data("sbx", 5)
+        params = operators.SbxParams(eta=4)
+        bounds = unit_bounds(self.d)
+        batched = operators.sbx_crossover(x1, x2, params, bounds, _StubRng(U))
+        _rows_like_single_calls(batched, lambda i: operators.sbx_crossover(
+            x1[i], x2[i], params, bounds, _StubRng([u[i] for u in U])), self.n)
+
+    def test_pm_rows(self):
+        x, apply, r = self._data("pm", 3)
+        params = operators.PmParams(eta=7, p_m=0.5)
+        bounds = unit_bounds(self.d)
+        batched = operators.polynomial_mutation(x, params, bounds, _StubRng([apply, r]))
+        _rows_like_single_calls((batched,), lambda i: (operators.polynomial_mutation(
+            x[i], params, bounds, _StubRng([apply[i], r[i]])),), self.n)
+
+    @pytest.mark.parametrize("variant,p,K", [("rand_p", 2, None), ("current_to_rand_p", 1, 0.4)])
+    def test_de_rows(self, variant, p, K):
+        target, base, r = self._data("de" + variant, 3)
+        pairs = rng_for("pairs", variant).random((2, self.n, p, self.d))
+        forced = rng_for("forced", variant).integers(self.d, size=self.n)
+        params = operators.DeParams(variant=variant, F=0.7, CR=0.5, p=p, K=K)
+        bounds = unit_bounds(self.d)
+        batched = operators.de_mutation(
+            target, base, pairs[0], pairs[1], params, bounds, _StubRng([r], [forced])
+        )
+        _rows_like_single_calls((batched,), lambda i: (operators.de_mutation(
+            target[i], base[i], pairs[0, i], pairs[1, i], params, bounds,
+            _StubRng([r[i]], [forced[i]])),), self.n)
+
+    def test_de_forced_dimension_per_row(self):
+        # CR=0 leaves only each row's forced variable mutated
+        target = np.zeros((self.n, self.d))
+        forced = np.arange(self.n) % self.d
+        params = operators.DeParams(variant="rand_p", F=0.5, CR=1e-12, p=1)
+        out = operators.de_mutation(
+            target, np.ones((self.n, self.d)), np.zeros((self.n, 1, self.d)),
+            np.zeros((self.n, 1, self.d)), params, unit_bounds(self.d),
+            _StubRng([np.ones((self.n, self.d))], [forced]),
+        )
+        assert np.array_equal(np.argwhere(out == 1.0), np.column_stack((np.arange(self.n), forced)))
+
+    def test_pso_rows(self):
+        x, v, pbest, gbest, r1, r2 = self._data("pso", 6)
+        params = operators.PsoParams(
+            w=0.5, c1=1.5, c2=2.0, v_max_ratio=0.3, v_change=0.1, grid_divisions=5
+        )
+        bounds = unit_bounds(self.d)
+        batched = operators.pso_update(
+            x, v, pbest, gbest, params, bounds, _StubRng([r1, r2]), particle_index=np.arange(self.n)
+        )
+        _rows_like_single_calls(batched, lambda i: operators.pso_update(
+            x[i], v[i], pbest[i], gbest[i], params, bounds, _StubRng([r1[i], r2[i]]),
+            particle_index=i), self.n)
+
+
+class TestPsoMutationStripes:
+    n, d = 60, 10
+
+    def _moved_rows(self, mutation):
+        rng = rng_for("stripes")
+        x, v, pbest, gbest = (rng.random((self.n, self.d)) for _ in range(4))
+        bounds = unit_bounds(self.d)
+        out = {}
+        for scheme in (None, mutation):
+            params = operators.PsoParams(
+                w=0.4, c1=1.5, c2=1.5, v_max_ratio=1.0, v_change=0.1, grid_divisions=5,
+                mutation=scheme,
+            )
+            out[scheme] = operators.pso_update(
+                x, v, pbest, gbest, params, bounds, rng_for("stripes-step"),
+                particle_index=np.arange(self.n), generation=3, max_generations=10,
+            )[1]
+        return np.nonzero((out[None] != out[mutation]).any(axis=1))[0]
+
+    def test_omopso_mutates_only_two_in_three(self):
+        moved = self._moved_rows(operators.OmopsoMutation(b=10))
+        assert moved.size and set(moved % 3) == {0, 1}
+
+    def test_smpso_mutates_only_one_in_six(self):
+        moved = self._moved_rows(operators.SmpsoMutation(eta_pm=20, constriction=False))
+        assert moved.size and set(moved % 6) == {0}
 
 
 class TestBoundSafetyAndDeterminism:
