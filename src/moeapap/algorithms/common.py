@@ -1,5 +1,6 @@
-"""Pieces shared between the engines: initialization, environmental
-selection, per-front crowding and DE donor wiring."""
+"""Pieces shared between the engines: initialization, variation
+parameters, environmental selection, per-front crowding and DE donor
+wiring."""
 
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ from ..core import (
     crowding_truncate_indices,
     fast_nondominated_sort,
 )
-from . import AlgorithmConfig
+from . import SBX_PM, AlgorithmConfig
 
 
 def init_population(problem, pop_size: int, rng) -> np.ndarray:
@@ -59,15 +60,17 @@ def binary_tournament(ranks: np.ndarray, crowd: np.ndarray, n: int, rng) -> np.n
     return np.where(b_wins, b, a)
 
 
-def de_params_from(config: AlgorithmConfig) -> operators.DeParams:
+def variation_params(config: AlgorithmConfig, n_vars: int):
+    """``(sbx, pm, de)`` for a GA or DE operator row; the unused ones are ``None``."""
     kwargs = dict(config.params)
-    return operators.DeParams(
-        variant=config.operator,
-        F=kwargs["F"],
-        CR=kwargs["CR"],
-        p=int(kwargs["p"]),
+    if config.operator == SBX_PM:
+        sbx = operators.SbxParams(eta=kwargs["eta_sbx"])
+        return sbx, operators.PmParams(eta=kwargs["eta_pm"], p_m=1.0 / n_vars), None
+    de = operators.DeParams(
+        variant=config.operator, F=kwargs["F"], CR=kwargs["CR"], p=int(kwargs["p"]),
         K=kwargs.get("K"),
     )
+    return None, None, de
 
 
 def shuffled_pools(allowed: np.ndarray, rng) -> np.ndarray:

@@ -16,8 +16,8 @@ import numpy as np
 from .. import operators
 from .._seeding import rng_for
 from ..core import ConfigurationError, SolutionSet, crowding_truncate_indices, nondominated_indices
-from . import MOEAD, SBX_PM, AlgorithmConfig, RunBudget, RunResult
-from .common import de_params_from, init_population, n_donors, pick_donors, shuffled_pools
+from . import AlgorithmConfig, RunBudget, RunResult
+from .common import init_population, n_donors, pick_donors, shuffled_pools, variation_params
 
 _ZERO_WEIGHT = 1e-4
 
@@ -44,15 +44,17 @@ def simplex_weights(m: int, pop_size: int) -> np.ndarray:
     raise ConfigurationError(f"simplex lattice implemented for m in {{2, 3}}, got {m}")
 
 
-def tchebycheff(F: np.ndarray, weight: np.ndarray, ideal: np.ndarray) -> np.ndarray:
-    """Scalarize objective rows against one weight vector."""
-    w = np.where(weight == 0.0, _ZERO_WEIGHT, weight)
-    return (np.abs(np.atleast_2d(F) - ideal) * w).max(axis=1)
+def tchebycheff_weights(W: np.ndarray) -> np.ndarray:
+    """Weight rows as ``tchebycheff`` uses them: a zero weight counts as 1e-4."""
+    return np.where(W == 0.0, _ZERO_WEIGHT, W)
+
+
+def tchebycheff(F: np.ndarray, weights: np.ndarray, ideal: np.ndarray) -> np.ndarray:
+    """Scalarize objective rows (or one row) against rows of ``tchebycheff_weights``."""
+    return (weights * np.abs(F - ideal)).max(axis=1)
 
 
 def run_moead(problem, config: AlgorithmConfig, budget: RunBudget, seed: int) -> RunResult:
-    if config.foundation != MOEAD:
-        raise ConfigurationError(f"expected a {MOEAD} configuration, got {config.foundation}")
     start = time.perf_counter()
     rng = rng_for(seed)
     bounds = problem.bounds
@@ -73,20 +75,13 @@ def run_moead(problem, config: AlgorithmConfig, budget: RunBudget, seed: int) ->
     F = problem.evaluate(X)
     evaluations = n
     ideal = F.min(axis=0)
-
-    if config.operator == SBX_PM:
-        sbx = operators.SbxParams(eta=config.param("eta_sbx"))
-        pm = operators.PmParams(eta=config.param("eta_pm"), p_m=1.0 / problem.n_vars)
-        de = None
-    else:
-        sbx = pm = None
-        de = de_params_from(config)
+    sbx, pm, de = variation_params(config, problem.n_vars)
 
     d = problem.n_vars
     in_neighborhood = np.zeros((n, n), dtype=bool)
     np.put_along_axis(in_neighborhood, neighbors, True, axis=1)
     not_self = ~np.eye(n, dtype=bool)
-    W_adj = np.where(W == 0.0, _ZERO_WEIGHT, W)
+    W_t = tchebycheff_weights(W)
     for _ in range(budget.max_generations):
         # everything a child needs is drawn up front; the children are still
         # made one at a time, each updating its pool before the next mates
@@ -115,9 +110,9 @@ def run_moead(problem, config: AlgorithmConfig, budget: RunBudget, seed: int) ->
             evaluations += 1
             ideal = np.minimum(ideal, f_child)
             order = orders[i, :pool_sizes[i]]
-            w_adj = W_adj[order]
-            g_child = (w_adj * np.abs(f_child - ideal)).max(axis=1)
-            g_current = (w_adj * np.abs(F[order] - ideal)).max(axis=1)
+            weights = W_t[order]
+            g_child = tchebycheff(f_child, weights, ideal)
+            g_current = tchebycheff(F[order], weights, ideal)
             winners = order[g_child < g_current][:n_r]
             X[winners] = child
             F[winners] = f_child

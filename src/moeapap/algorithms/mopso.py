@@ -16,7 +16,7 @@ import numpy as np
 from .. import operators
 from .._seeding import rng_for
 from ..core import ConfigurationError, SolutionSet
-from . import MOPSO, OMOPSO, SMPSO, AlgorithmConfig, RunBudget, RunResult
+from . import OMOPSO, SMPSO, AlgorithmConfig, RunBudget, RunResult
 from .common import init_population
 
 
@@ -116,8 +116,6 @@ def pbest_replaced(F: np.ndarray, pbest_F: np.ndarray, coin: np.ndarray) -> np.n
 
 
 def run_mopso(problem, config: AlgorithmConfig, budget: RunBudget, seed: int) -> RunResult:
-    if config.foundation != MOPSO:
-        raise ConfigurationError(f"expected a {MOPSO} configuration, got {config.foundation}")
     start = time.perf_counter()
     rng = rng_for(seed)
     params = _pso_params(config)

@@ -15,20 +15,18 @@ import numpy as np
 from .. import _kernels, operators
 from .._seeding import rng_for
 from ..core import ConfigurationError, SolutionSet
-from . import NSGA2, SBX_PM, AlgorithmConfig, RunBudget, RunResult
+from . import SBX_PM, AlgorithmConfig, RunBudget, RunResult
 from .common import (
     binary_tournament,
     crowding_by_front,
     de_offspring,
-    de_params_from,
     environmental_select,
     init_population,
+    variation_params,
 )
 
 
 def run_nsga2(problem, config: AlgorithmConfig, budget: RunBudget, seed: int) -> RunResult:
-    if config.foundation != NSGA2:
-        raise ConfigurationError(f"expected a {NSGA2} configuration, got {config.foundation}")
     start = time.perf_counter()
     pop = budget.pop_size
     if config.operator == SBX_PM and pop < 4:
@@ -40,14 +38,7 @@ def run_nsga2(problem, config: AlgorithmConfig, budget: RunBudget, seed: int) ->
     F = problem.evaluate(X)
     ranks = _kernels.nds_ranks(np.ascontiguousarray(F))
     evaluations = pop
-
-    if config.operator == SBX_PM:
-        sbx = operators.SbxParams(eta=config.param("eta_sbx"))
-        pm = operators.PmParams(eta=config.param("eta_pm"), p_m=1.0 / problem.n_vars)
-        de = None
-    else:
-        sbx = pm = None
-        de = de_params_from(config)
+    sbx, pm, de = variation_params(config, problem.n_vars)
 
     for _ in range(budget.max_generations):
         if de is None:

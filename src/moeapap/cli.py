@@ -90,7 +90,9 @@ def _cmd_construct(args) -> int:
     from . import construction, experiments
 
     manifest = experiments.load_manifest(args.manifest or default_manifest("train"))
-    seeds = tuple(range(1, args.runs_per_problem + 1)) if args.runs_per_problem else None
+    seeds = None
+    if args.runs_per_problem is not None:
+        seeds = tuple(range(1, args.runs_per_problem + 1))
     Z = experiments.training_set_from_manifest(
         manifest, pop_size=args.pop_size, max_generations=args.max_gens, seeds=seeds
     )

@@ -10,9 +10,11 @@ interleaved with single-parameter perturbations of the incumbent) behind a
 narrow interface, so a model-based tool can replace it without touching the
 loop.
 
-All candidate evaluations flow through an evaluation cache keyed by
-(config fingerprint, problem, seed); member seeds depend on the config
-fingerprint only, so cached runs stay valid as the portfolio grows and
+One evaluator holds the constructor's state: every member run, stored
+per (config fingerprint, problem, seed), and every portfolio score.  A
+portfolio is scored through ``portfolio.output_rule``, the rule ``run_pap``
+applies, on the stored member runs; member seeds depend on the config
+fingerprint only, so stored runs stay valid as the portfolio grows and
 shrinks.
 """
 
@@ -23,11 +25,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import indicators
+from . import algorithms, indicators, problems
 from ._seeding import rng_for, seed_sequence
 from .algorithms import FOUNDATIONS, LEGAL_OPERATORS, PARAM_SCHEMAS, AlgorithmConfig, RunBudget
-from .core import ConfigurationError, ContractViolationError, SolutionSet
-from .portfolio import Portfolio, member_seed, restructure
+from .core import ConfigurationError, ContractViolationError
+from .portfolio import Portfolio, member_seed, output_rule
 
 PORTFOLIO_FORMAT = "moeapap-portfolio"
 PORTFOLIO_VERSION = 1
@@ -130,7 +132,7 @@ class ConfigSpace:
 
 
 # ---------------------------------------------------------------------------
-# training set and cached evaluation
+# training set and evaluation
 # ---------------------------------------------------------------------------
 
 
@@ -157,58 +159,41 @@ class TrainingSet:
         return len(self.entries)
 
 
-class EvalCache:
-    """Stores one solution set + metric per (config, problem, run seed)."""
+class _Evaluator:
+    """Training scores of portfolios.  Holds every member run per (config
+    fingerprint, problem, run seed) and every per-problem score."""
 
-    def __init__(self):
-        self._store: dict[tuple[str, str, int], tuple[SolutionSet, float]] = {}
+    def __init__(self, Z: TrainingSet, runner=None):
+        self.Z = Z
+        self.runner = runner
+        self.runs: dict[tuple[str, str, int], tuple] = {}
         self.hits = 0
         self.misses = 0
-
-    def lookup(self, config: AlgorithmConfig, problem_name: str, seed: int):
-        return self._store.get((config.fingerprint(), problem_name, seed))
-
-    def put(self, config, problem_name, seed, solution_set, metric):
-        self._store[(config.fingerprint(), problem_name, seed)] = (solution_set, metric)
-
-    def __len__(self) -> int:
-        return len(self._store)
-
-
-class _Evaluator:
-    """Computes portfolio training scores with member-run caching."""
-
-    def __init__(self, Z: TrainingSet, cache: EvalCache | None, runner=None):
-        self.Z = Z
-        self.cache = cache if cache is not None else EvalCache()
-        self.runner = runner
         self._omega_memo: dict[tuple, float] = {}
         self.failures: list[tuple[str, str, str]] = []
 
-    def member_set(self, config, entry: TrainingProblem, seed: int):
-        cached = self.cache.lookup(config, entry.name, seed)
-        if cached is not None:
-            self.cache.hits += 1
-            return cached
-        self.cache.misses += 1
-        from . import algorithms, problems
-
-        mseed = member_seed(seed, config)
-        problem = problems.get_problem(entry.name)
+    def member_run(self, config, entry: TrainingProblem, seed: int):
+        """``(RunResult, ihvr)`` of one member run, ``(None, None)`` if it failed."""
+        key = (config.fingerprint(), entry.name, seed)
+        if key in self.runs:
+            self.hits += 1
+            return self.runs[key]
+        self.misses += 1
         runner = self.runner if self.runner is not None else algorithms.run
+        problem = problems.get_problem(entry.name)
         try:
-            result = runner(config, problem, entry.budget, mseed)
+            result = runner(config, problem, entry.budget, member_seed(seed, config))
         except Exception as exc:  # noqa: BLE001 - failures score as no-improvement
             self.failures.append((config.label(), entry.name, f"{type(exc).__name__}: {exc}"))
-            self.cache.put(config, entry.name, seed, None, None)
-            return (None, None)
-        ctx = indicators.HvContext.for_problem(entry.name)
-        metric = indicators.ihvr(result.solution_set, ctx)
-        self.cache.put(config, entry.name, seed, result.solution_set, metric)
-        return (result.solution_set, metric)
+            self.runs[key] = (None, None)
+        else:
+            ctx = indicators.HvContext.for_problem(entry.name)
+            self.runs[key] = (result, indicators.ihvr(result.solution_set, ctx))
+        return self.runs[key]
 
     def omega_problem(self, configs, entry: TrainingProblem) -> float:
-        """Mean over the entry's seeds of the portfolio score on one problem."""
+        """Mean over the entry's seeds of the portfolio score on one problem;
+        a seed where every member failed scores zero."""
         if not configs:
             return 0.0
         memo_key = (tuple(c.fingerprint() for c in configs), entry.name)
@@ -216,21 +201,10 @@ class _Evaluator:
             return self._omega_memo[memo_key]
         total = 0.0
         for seed in entry.seeds:
-            sets = []
-            best = None
-            for config in configs:
-                sset, metric = self.member_set(config, entry, seed)
-                if sset is None:
-                    continue
-                sets.append(sset)
-                if best is None or metric > best:
-                    best = metric
-            if not sets:
-                continue  # every member failed here: contributes zero
-            merged = restructure(sets, cap=entry.budget.pop_size)
-            ctx = indicators.HvContext.for_problem(entry.name)
-            merged_metric = indicators.ihvr(merged, ctx)
-            total += max(best, merged_metric)
+            results, metrics = zip(*(self.member_run(c, entry, seed) for c in configs))
+            if any(r is not None for r in results):
+                ctx = indicators.HvContext.for_problem(entry.name)
+                total += output_rule(results, metrics, entry.budget.pop_size, ctx).omega
         value = total / len(entry.seeds)
         self._omega_memo[memo_key] = value
         return value
@@ -239,12 +213,9 @@ class _Evaluator:
         return sum(self.omega_problem(configs, e) for e in self.Z.entries) / len(self.Z)
 
 
-def marginal_contribution(
-    P, candidate: AlgorithmConfig, Z: TrainingSet, cache: EvalCache | None = None, _evaluator=None
-) -> float:
-    """Mean per-problem improvement from adding ``candidate`` to ``P``."""
-    ev = _evaluator if _evaluator is not None else _Evaluator(Z, cache)
-    configs = list(P.members if isinstance(P, Portfolio) else P)
+def marginal_contribution(configs, candidate: AlgorithmConfig, ev: _Evaluator) -> float:
+    """Mean per-problem improvement from adding ``candidate`` to ``configs``."""
+    configs = list(configs)
     total = 0.0
     for entry in ev.Z.entries:
         base = ev.omega_problem(configs, entry)
@@ -254,13 +225,7 @@ def marginal_contribution(
 
 
 def configure_subspace(
-    P,
-    subspace: Subspace,
-    Z: TrainingSet,
-    budget: int,
-    seed: int,
-    cache: EvalCache | None = None,
-    _evaluator=None,
+    configs, subspace: Subspace, ev: _Evaluator, budget: int, seed: int
 ) -> tuple[AlgorithmConfig, float]:
     """Model-free search for the best marginal contributor in one subspace.
 
@@ -270,7 +235,6 @@ def configure_subspace(
     """
     if budget < 1:
         raise ConfigurationError("configurator budget must be at least 1")
-    ev = _evaluator if _evaluator is not None else _Evaluator(Z, cache)
     rng = rng_for(seed, "configure", subspace.foundation)
     incumbent = None
     best = -np.inf
@@ -279,7 +243,7 @@ def configure_subspace(
             candidate = subspace.sample(rng)
         else:
             candidate = subspace.perturb(incumbent, rng)
-        score = marginal_contribution(P, candidate, Z, _evaluator=ev)
+        score = marginal_contribution(configs, candidate, ev)
         if score > best:
             best = score
             incumbent = candidate
@@ -337,7 +301,6 @@ def construct(
     searches_per_iter: int = 10,
     budget_per_search: int = 4,
     seed: int = 0,
-    cache: EvalCache | None = None,
     runner=None,
     name: str = "constructed",
 ) -> tuple[Portfolio, ConstructionReport]:
@@ -350,7 +313,7 @@ def construct(
     """
     if k < 1:
         raise ConfigurationError("portfolio size bound k must be at least 1")
-    ev = _Evaluator(Z, cache, runner=runner)
+    ev = _Evaluator(Z, runner=runner)
     subspaces = space.subspaces
     c = len(subspaces)
     members: list[AlgorithmConfig] = []
@@ -363,31 +326,32 @@ def construct(
 
     while len(members) < k and iteration < max_iterations:
         iteration += 1
-        candidates = []
-        for i in range(1, searches_per_iter + 1):
-            re = i % c
-            theta, score = configure_subspace(
+        found = [
+            configure_subspace(
                 members,
-                subspaces[re],
-                Z,
+                subspaces[i % c],
+                ev,
                 budget_per_search,
                 seed=int(seed_sequence(seed, iteration, i).generate_state(1)[0]),
-                _evaluator=ev,
             )
-            candidates.append({"search": i, "subspace": re, "config": theta.label(), "marginal": score, "_theta": theta})
-        best = max(candidates, key=lambda cand: cand["marginal"])
+            for i in range(1, searches_per_iter + 1)
+        ]
+        best, best_score = max(found, key=lambda pair: pair[1])
         entry = {
             "iteration": iteration,
-            "candidates": [{k2: v for k2, v in c2.items() if k2 != "_theta"} for c2 in candidates],
+            "candidates": [
+                {"search": i, "subspace": i % c, "config": theta.label(), "marginal": score}
+                for i, (theta, score) in enumerate(found, start=1)
+            ],
             "inserted": None,
             "omega_after": omega_current,
         }
-        if best["marginal"] <= 0.0:
+        if best_score <= 0.0:
             report.iterations.append(entry)
             break
-        members.append(best["_theta"])
+        members.append(best)
         omega_current = ev.omega(members)
-        entry["inserted"] = best["_theta"].label()
+        entry["inserted"] = best.label()
         entry["omega_after"] = omega_current
         report.iterations.append(entry)
         report.omega_trajectory.append(omega_current)
@@ -415,11 +379,7 @@ def construct(
                 break
 
     report.failures = list(ev.failures)
-    report.cache_stats = {
-        "entries": len(ev.cache),
-        "hits": ev.cache.hits,
-        "misses": ev.cache.misses,
-    }
+    report.cache_stats = {"entries": len(ev.runs), "hits": ev.hits, "misses": ev.misses}
     if not members:
         raise ConfigurationError("construction produced an empty portfolio")
     return Portfolio(tuple(members), name=name), report

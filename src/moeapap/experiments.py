@@ -107,8 +107,11 @@ def training_set_from_manifest(
     """Training set with optional desk-scale budget/seed overrides."""
     entries = []
     for e in manifest.entries:
-        budget = RunBudget(pop_size or e.pop_size, max_generations or e.max_generations)
-        entries.append(TrainingProblem(e.name, budget, seeds or e.seeds))
+        budget = RunBudget(
+            e.pop_size if pop_size is None else pop_size,
+            e.max_generations if max_generations is None else max_generations,
+        )
+        entries.append(TrainingProblem(e.name, budget, e.seeds if seeds is None else seeds))
     return TrainingSet(tuple(entries))
 
 

@@ -57,12 +57,10 @@ class PapRunResult:
 
     @property
     def omega(self) -> float:
-        """Best candidate metric (the portfolio's score on this run)."""
-        best = self.restructure_metric
-        for value in self.member_metrics:
-            if value is not None and value > best:
-                best = value
-        return best
+        """The chosen candidate's metric (the portfolio's score on this run)."""
+        if self.chosen_source == RESTRUCTURE:
+            return self.restructure_metric
+        return self.member_metrics[self.chosen_source]
 
     @property
     def best_member_metric(self) -> float:
@@ -125,6 +123,38 @@ def member_seed(run_seed: int, config: AlgorithmConfig) -> int:
     return int(state[0])
 
 
+def output_rule(results, metrics, cap: int, ctx, failures=()) -> PapRunResult:
+    """Restructure the members' sets and pick the metric-best candidate.
+
+    ``results`` holds one ``RunResult`` per member (``None`` for a failed
+    run) and ``metrics`` their ihvr values.  The successful sets are
+    restructured to at most ``cap`` rows; ties prefer the restructured set,
+    then the lowest member index.  If every member failed this raises.
+    """
+    good_sets = [r.solution_set for r in results if r is not None]
+    if not good_sets:
+        raise ContractViolationError(
+            "every member run failed: " + "; ".join(msg for _, msg in failures)
+        )
+    merged = restructure(good_sets, cap=cap)
+    restructure_metric = indicators.ihvr(merged, ctx)
+    candidates = [(restructure_metric, RESTRUCTURE, merged)] + [
+        (metric, i, r.solution_set)
+        for i, (r, metric) in enumerate(zip(results, metrics))
+        if r is not None
+    ]
+    _, chosen, output = max(candidates, key=lambda c: c[0])  # first of the best
+    return PapRunResult(
+        member_results=tuple(results),
+        restructured=merged,
+        output=output,
+        chosen_source=chosen,
+        member_metrics=tuple(metrics),
+        restructure_metric=restructure_metric,
+        failures=tuple(failures),
+    )
+
+
 def run_pap(
     portfolio: Portfolio,
     problem,
@@ -133,13 +163,13 @@ def run_pap(
     ctx: indicators.HvContext | None = None,
     runner=None,
 ) -> PapRunResult:
-    """Execute every member in turn, restructure, and pick the metric-best output.
+    """Execute every member in turn, then apply the output rule.
 
-    Ties prefer the restructured set, then the lowest member index.  Failed
-    member runs are excluded from the candidates and recorded; if every
-    member fails the run errors out.  ``runner`` may replace the engine
-    dispatch, which is how synthetic member behaviors are injected in tests.
-    Runs are parallelised across jobs by the experiment harness, not here.
+    Failed member runs are excluded from the candidates and recorded; if
+    every member fails the run errors out.  ``runner`` may replace the
+    engine dispatch, which is how synthetic member behaviors are injected in
+    tests.  Runs are parallelised across jobs by the experiment harness, not
+    here.
     """
     if ctx is None:
         ctx = indicators.HvContext.for_problem(problem.name)
@@ -152,34 +182,5 @@ def run_pap(
             results[i] = run(config, problem, budget, member_seed(seed, config))
         except Exception as exc:  # noqa: BLE001 - candidate exclusion is the contract
             failures.append((i, f"{type(exc).__name__}: {exc}"))
-
-    good_sets = [r.solution_set for r in results if r is not None]
-    if not good_sets:
-        raise ContractViolationError(
-            "every member run failed: " + "; ".join(msg for _, msg in failures)
-        )
-
-    merged = restructure(good_sets, cap=budget.pop_size)
-    member_metrics = tuple(
-        indicators.ihvr(r.solution_set, ctx) if r is not None else None for r in results
-    )
-    restructure_metric = indicators.ihvr(merged, ctx)
-
-    chosen: int | str = RESTRUCTURE
-    output = merged
-    best = restructure_metric
-    for i, value in enumerate(member_metrics):
-        if value is not None and value > best:
-            chosen = i
-            output = results[i].solution_set
-            best = value
-
-    return PapRunResult(
-        member_results=tuple(results),
-        restructured=merged,
-        output=output,
-        chosen_source=chosen,
-        member_metrics=member_metrics,
-        restructure_metric=restructure_metric,
-        failures=tuple(failures),
-    )
+    metrics = [indicators.ihvr(r.solution_set, ctx) if r is not None else None for r in results]
+    return output_rule(results, metrics, budget.pop_size, ctx, failures)

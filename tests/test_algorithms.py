@@ -11,7 +11,7 @@ from moeapap.algorithms import (
     run,
 )
 from moeapap.algorithms.common import binary_tournament, environmental_select, init_population
-from moeapap.algorithms.moead import simplex_weights, tchebycheff
+from moeapap.algorithms.moead import simplex_weights, tchebycheff, tchebycheff_weights
 from moeapap.algorithms.mopso import _GridArchive, pbest_replaced
 from moeapap.core import ConfigurationError
 from moeapap.problems import get_problem
@@ -194,8 +194,14 @@ class TestMoead:
         assert result.evaluations == 36 * 3
 
     def test_tchebycheff_zero_weight_convention(self):
-        g = tchebycheff(np.array([[2.0, 3.0]]), np.array([0.0, 1.0]), np.array([0.0, 0.0]))
-        assert g[0] == pytest.approx(3.0)
+        weights = tchebycheff_weights(np.array([[0.0, 1.0], [0.5, 0.5]]))
+        assert weights.tolist() == [[1e-4, 1.0], [0.5, 0.5]]
+        # one child row against every weight row, as the engine scores a child
+        g = tchebycheff(np.array([5e4, 3.0]), weights, np.zeros(2))
+        assert g == pytest.approx([5.0, 2.5e4])
+        # row against row, as the engine scores the current subproblem solutions
+        g = tchebycheff(np.array([[2.0, 3.0], [4.0, 1.0]]), weights, np.array([1.0, 0.0]))
+        assert g == pytest.approx([3.0, 1.5])
 
     @pytest.mark.parametrize("ps", [0.0, 1.0])
     @pytest.mark.parametrize("operator,params", [

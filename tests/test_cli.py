@@ -111,6 +111,17 @@ def test_structured_error_on_bad_inputs(tmp_path, capsys):
     assert "error" in payload and "message" in payload
 
 
+@pytest.mark.parametrize("flag", ["--pop-size", "--runs-per-problem"])
+def test_construct_zero_override_rejected(tmp_path, tiny_manifest, capsys, flag):
+    rc = main([
+        "construct", "--manifest", tiny_manifest, "--out", str(tmp_path / "pf.json"),
+        "--budget-per-search", "1", flag, "0",
+    ])
+    assert rc == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "ConfigurationError"
+    assert not (tmp_path / "pf.json").exists()
+
+
 def test_compare_needs_two_portfolios(tmp_path, tiny_manifest, capsys):
     rc = main([
         "compare", "--portfolio", str(tmp_path / "one.json"),

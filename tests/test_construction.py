@@ -8,20 +8,21 @@ import pytest
 from moeapap.algorithms import AlgorithmConfig, RunBudget, RunResult
 from moeapap.construction import (
     ConfigSpace,
-    EvalCache,
     PortfolioFormatError,
     Subspace,
     TrainingProblem,
     TrainingSet,
+    _Evaluator,
     configure_subspace,
     construct,
     load_portfolio,
     marginal_contribution,
     save_portfolio,
 )
-from moeapap.core import ConfigurationError, SolutionSet
+from moeapap.core import ConfigurationError, ContractViolationError, SolutionSet
 from moeapap.indicators import HvContext, ihvr
-from moeapap.portfolio import Portfolio, restructure
+from moeapap.portfolio import RESTRUCTURE, Portfolio, member_seed, restructure, run_pap
+from moeapap.problems import get_problem
 from moeapap._seeding import rng_for
 
 
@@ -71,25 +72,26 @@ class TestMarginalContribution:
     def test_duplicate_candidate_contributes_zero(self):
         Z = tiny_Z(pop=10, gens=3, seeds=(1,))
         cfg = AlgorithmConfig.make("NSGA2", "sbx_pm", eta_sbx=10, eta_pm=10)
-        cache = EvalCache()
-        first = marginal_contribution([], cfg, Z, cache)
+        ev = _Evaluator(Z)
+        first = marginal_contribution([], cfg, ev)
         assert first > 0.0
-        again = marginal_contribution([cfg], cfg, Z, cache)
+        again = marginal_contribution([cfg], cfg, ev)
         assert again == 0.0
 
     def test_empty_portfolio_contribution_is_mean_score(self):
         Z = tiny_Z(pop=10, gens=3, seeds=(1, 2))
         cfg = AlgorithmConfig.make("NSGA2", "sbx_pm", eta_sbx=10, eta_pm=10)
-        cache = EvalCache()
-        value = marginal_contribution([], cfg, Z, cache)
-        # reproduce by hand from the cached member sets
+        ev = _Evaluator(Z)
+        value = marginal_contribution([], cfg, ev)
+        # reproduce by hand from the stored member runs
         total = 0.0
         for entry in Z.entries:
             ctx = HvContext.for_problem(entry.name)
             per_seed = []
             for seed in entry.seeds:
-                sset, metric = cache.lookup(cfg, entry.name, seed)
-                per_seed.append(max(metric, ihvr(restructure([sset], entry.budget.pop_size), ctx)))
+                result, metric = ev.member_run(cfg, entry, seed)
+                merged = restructure([result.solution_set], entry.budget.pop_size)
+                per_seed.append(max(metric, ihvr(merged, ctx)))
             total += sum(per_seed) / len(per_seed)
         assert value == pytest.approx(total / len(Z))
 
@@ -103,12 +105,10 @@ class TestMarginalContribution:
             b.fingerprint(): [[1.0, 0.0]],
         }
         Z = tiny_Z(problems=("ZDT1", "ZDT2"), pop=8, gens=1, seeds=(1,))
-        from moeapap.construction import _Evaluator
-
-        ev = _Evaluator(Z, EvalCache(), runner=scripted_runner(table))
+        ev = _Evaluator(Z, runner=scripted_runner(table))
         base = ev.omega([a])
         joint = ev.omega([a, b])
-        got = marginal_contribution([a], b, Z, _evaluator=ev)
+        got = marginal_contribution([a], b, ev)
         assert got == pytest.approx(joint - base, abs=1e-15)
         contexts = {e.name: HvContext.for_problem(e.name) for e in Z.entries}
         by_hand = 0.0
@@ -124,11 +124,64 @@ class TestMarginalContribution:
         assert got == pytest.approx(by_hand / len(Z), abs=1e-12)
 
 
+def _mean_run_pap_omega(configs, entry):
+    portfolio = Portfolio(tuple(configs))
+    problem = get_problem(entry.name)
+    total = 0.0
+    for seed in entry.seeds:
+        total += run_pap(portfolio, problem, entry.budget, seed).omega
+    return total / len(entry.seeds)
+
+
+class TestEvaluatorScoresLikeRunPap:
+    def test_real_portfolio_equals_run_pap_mean(self):
+        configs = [
+            AlgorithmConfig.make("NSGA2", "sbx_pm", eta_sbx=15, eta_pm=20),
+            AlgorithmConfig.make(
+                "MOEAD", "rand_p", F=0.5, CR=0.9, p=1, ps=0.9, n_r=2, neighbor_size=10
+            ),
+            AlgorithmConfig.make(
+                "MOPSO", "omopso", w=0.4, c1=1.5, c2=1.5, v_max=1.0, grid_divisions=10,
+                v_change=0.01, b=8,
+            ),
+        ]
+        Z = tiny_Z(problems=("ZDT1", "DTLZ2"), pop=20, gens=5, seeds=(1, 2, 3))
+        ev = _Evaluator(Z)
+        for entry in Z.entries:
+            assert ev.omega_problem(configs, entry) == _mean_run_pap_omega(configs, entry)
+        assert ev.misses == 2 * 3 * 3 and ev.hits == 0
+
+    def test_failed_members_excluded_as_in_run_pap(self):
+        a = AlgorithmConfig.make("NSGA2", "sbx_pm", eta_sbx=5, eta_pm=5)
+        b = AlgorithmConfig.make("NSGA2", "sbx_pm", eta_sbx=6, eta_pm=6)
+        entry = TrainingProblem("ZDT1", RunBudget(8, 1), (1, 2, 3))
+        # b fails on run seed 2 only; every member fails on run seed 3
+        b_fails = {member_seed(2, b), member_seed(3, b)}
+        a_fails = {member_seed(3, a)}
+        rows = {a.fingerprint(): [[0.0, 1.0]], b.fingerprint(): [[1.0, 0.0]]}
+
+        def runner(config, problem, budget, seed):
+            if seed in (b_fails if config == b else a_fails):
+                raise RuntimeError("scripted failure")
+            return RunResult(SolutionSet(np.asarray(rows[config.fingerprint()], float)),
+                             0, 0.0, seed, budget.pop_size)
+
+        ev = _Evaluator(TrainingSet((entry,)), runner=runner)
+        got = ev.omega_problem([a, b], entry)
+        with pytest.raises(ContractViolationError):
+            run_pap(Portfolio((a, b)), get_problem("ZDT1"), entry.budget, 3, runner=runner)
+        paps = [run_pap(Portfolio((a, b)), get_problem("ZDT1"), entry.budget, seed, runner=runner)
+                for seed in (1, 2)]
+        assert paps[0].chosen_source == RESTRUCTURE and paps[1].member_metrics[1] is None
+        assert got == (paps[0].omega + paps[1].omega + 0.0) / 3
+        assert len(ev.failures) == 3
+
+
 class TestConfigureSubspace:
     def test_budget_one_single_sample(self):
         Z = tiny_Z(pop=8, gens=2, seeds=(1,))
         sub = Subspace.for_foundation("NSGA2")
-        cfg, score = configure_subspace([], sub, Z, budget=1, seed=3)
+        cfg, score = configure_subspace([], sub, _Evaluator(Z), budget=1, seed=3)
         rng = rng_for(3, "configure", "NSGA2")
         assert cfg == sub.sample(rng)
         assert score > 0.0
@@ -136,8 +189,8 @@ class TestConfigureSubspace:
     def test_deterministic(self):
         Z = tiny_Z(pop=8, gens=2, seeds=(1,))
         sub = Subspace.for_foundation("MOEAD")
-        a = configure_subspace([], sub, Z, budget=3, seed=9)
-        b = configure_subspace([], sub, Z, budget=3, seed=9)
+        a = configure_subspace([], sub, _Evaluator(Z), budget=3, seed=9)
+        b = configure_subspace([], sub, _Evaluator(Z), budget=3, seed=9)
         assert a[0] == b[0] and a[1] == b[1]
 
     def test_exhaustive_categorical_argmax(self):
@@ -154,10 +207,8 @@ class TestConfigureSubspace:
             {"sbx_pm": {"eta_sbx": ("cat", (1, 2, 3)), "eta_pm": ("cat", (1,))}},
         )
         Z = tiny_Z(problems=("ZDT1",), pop=8, gens=1, seeds=(1,))
-        from moeapap.construction import _Evaluator
-
-        ev = _Evaluator(Z, EvalCache(), runner=scripted_runner(scripted))
-        best, _ = configure_subspace([], sub, Z, budget=24, seed=0, _evaluator=ev)
+        ev = _Evaluator(Z, runner=scripted_runner(scripted))
+        best, _ = configure_subspace([], sub, ev, budget=24, seed=0)
         assert best.param("eta_sbx") == 3  # dominant scripted config found
 
 
@@ -200,15 +251,6 @@ class TestConstruct:
         )
         assert len(pf) == 1
         assert pf.members[0] == strong
-
-    def test_cache_on_off_identical(self):
-        Z = tiny_Z(pop=8, gens=2, seeds=(1,))
-        space = ConfigSpace.for_foundations("NSGA2")
-        pf1, _ = construct(space, Z, k=2, searches_per_iter=2, budget_per_search=2, seed=6,
-                           cache=EvalCache())
-        pf2, _ = construct(space, Z, k=2, searches_per_iter=2, budget_per_search=2, seed=6,
-                           cache=None)
-        assert pf1.members == pf2.members
 
     def test_empty_training_set_rejected(self):
         with pytest.raises(ConfigurationError):

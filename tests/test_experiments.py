@@ -101,6 +101,14 @@ class TestManifest:
         assert all(e.budget == RunBudget(6, 2) for e in Z.entries)
         assert all(e.seeds == (7,) for e in Z.entries)
 
+    def test_zero_overrides_are_applied(self):
+        Z = training_set_from_manifest(small_manifest(), max_generations=0)
+        assert all(e.budget == RunBudget(12, 0) for e in Z.entries)
+        with pytest.raises(ConfigurationError):
+            training_set_from_manifest(small_manifest(), pop_size=0)
+        with pytest.raises(ConfigurationError):
+            training_set_from_manifest(small_manifest(), seeds=())
+
 
 class TestVariants:
     def test_ngen_scales_generations(self):
