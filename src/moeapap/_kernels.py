@@ -14,27 +14,35 @@ import numpy as np
 _CHUNK = 256
 
 
+def _dominates(A, B):
+    # out[i, j] is True iff row A[i] dominates row B[j], built one objective
+    # column at a time so no (len(A), len(B), m) block is materialized
+    a = A[:, :1]
+    b = B[:, 0]
+    le = a <= b
+    lt = a < b
+    for k in range(1, A.shape[1]):
+        a = A[:, k:k + 1]
+        b = B[:, k]
+        le &= a <= b
+        lt |= a < b
+    return le & lt
+
+
 def nd_mask(F):
     # mask[i] is True iff no row strictly dominates row i; equal rows are both kept
     n = F.shape[0]
     mask = np.ones(n, dtype=np.bool_)
     for start in range(0, n, _CHUNK):
-        block = F[start:start + _CHUNK]
-        le = (F[None, :, :] <= block[:, None, :]).all(axis=2)
-        lt = (F[None, :, :] < block[:, None, :]).any(axis=2)
-        dominated = (le & lt).any(axis=1)
-        mask[start:start + _CHUNK] = ~dominated
+        mask[start:start + _CHUNK] = ~_dominates(F, F[start:start + _CHUNK]).any(axis=0)
     return mask
 
 
 def _dom_matrix(F):
     n = F.shape[0]
-    dom = np.zeros((n, n), dtype=np.bool_)
+    dom = np.empty((n, n), dtype=np.bool_)
     for start in range(0, n, _CHUNK):
-        block = F[start:start + _CHUNK]
-        le = (block[:, None, :] <= F[None, :, :]).all(axis=2)
-        lt = (block[:, None, :] < F[None, :, :]).any(axis=2)
-        dom[start:start + _CHUNK] = le & lt
+        dom[start:start + _CHUNK] = _dominates(F[start:start + _CHUNK], F)
     return dom
 
 
@@ -125,14 +133,21 @@ def mean_min_dist(A, B):
 
 
 def count_dominated(samples, F):
-    # number of sample rows weakly dominated by at least one row of F
+    # number of sample rows weakly dominated by at least one row of F; the
+    # samples are held column by column and each row of F ANDs one
+    # per-column <= mask per objective
     hits = 0
-    for start in range(0, samples.shape[0], 4096):
-        block = samples[start:start + 4096]
-        dominated = np.zeros(block.shape[0], dtype=np.bool_)
-        for j in range(F.shape[0]):
-            dominated |= (F[j] <= block).all(axis=1)
-        hits += int(dominated.sum())
+    m = F.shape[1]
+    for start in range(0, samples.shape[0], 65536):
+        cols = np.ascontiguousarray(samples[start:start + 65536].T)
+        dominated = np.zeros(cols.shape[1], dtype=np.bool_)
+        covered = np.empty_like(dominated)
+        for f in F:
+            np.less_equal(f[0], cols[0], out=covered)
+            for k in range(1, m):
+                covered &= f[k] <= cols[k]
+            dominated |= covered
+        hits += int(np.count_nonzero(dominated))
     return hits
 
 

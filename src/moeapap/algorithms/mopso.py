@@ -34,22 +34,30 @@ class _GridArchive:
         return self.F.shape[0]
 
     def _cells(self) -> np.ndarray:
+        # one integer key per member: the C-order ravel of its cell indices,
+        # so keys sort in the lexicographic order of the cells
         lo = self.F.min(axis=0)
         hi = self.F.max(axis=0)
         span = np.where(hi > lo, hi - lo, 1.0)
         idx = np.floor((self.F - lo) / span * self.divisions).astype(np.int64)
-        return np.minimum(idx, self.divisions - 1)
+        idx = np.minimum(idx, self.divisions - 1)
+        return np.ravel_multi_index(idx.T, (self.divisions,) * idx.shape[1])
 
     def insert(self, x: np.ndarray, f: np.ndarray) -> bool:
         if len(self):
-            le = (self.F <= f).all(axis=1)
-            lt = (self.F < f).any(axis=1)
-            equal = (self.F == f).all(axis=1)
-            if ((le & lt) | equal).any():
-                return False  # dominated by, or duplicating, a member
-            beaten = (f <= self.F).all(axis=1) & (f < self.F).any(axis=1)
-            if beaten.any():
-                keep = ~beaten
+            # no_worse[i]: member i is <= f in every objective (it dominates
+            # or duplicates f); no_better[i]: member i is >= f in every one
+            F = self.F
+            no_worse = F[:, 0] <= f[0]
+            no_better = F[:, 0] >= f[0]
+            for c in range(1, F.shape[1]):
+                no_worse &= F[:, c] <= f[c]
+                no_better &= F[:, c] >= f[c]
+            if no_worse.any():
+                return False
+            # with no duplicate left, no_better means f dominates the member
+            if no_better.any():
+                keep = ~no_better
                 self.X = self.X[keep]
                 self.F = self.F[keep]
         self.X = np.vstack((self.X, x[None, :]))
@@ -59,8 +67,7 @@ class _GridArchive:
         return True
 
     def _evict(self):
-        cells = self._cells()
-        _, inverse, counts = np.unique(cells, axis=0, return_inverse=True, return_counts=True)
+        _, inverse, counts = np.unique(self._cells(), return_inverse=True, return_counts=True)
         crowded = int(np.argmax(counts))
         members = np.nonzero(inverse == crowded)[0]
         victim = int(members[self.rng.integers(members.size)])
@@ -76,11 +83,10 @@ class _GridArchive:
             raise ConfigurationError("cannot select a leader from an empty archive")
         if len(self) == 1:
             return np.repeat(self.X, k, axis=0)
-        cells = self._cells()
-        _, inverse, counts = np.unique(cells, axis=0, return_inverse=True, return_counts=True)
+        _, inverse, counts = np.unique(self._cells(), return_inverse=True, return_counts=True)
         weights = 1.0 / counts
         chosen = self.rng.choice(counts.size, size=k, p=weights / weights.sum())
-        by_cell = np.argsort(inverse.reshape(-1), kind="stable")
+        by_cell = np.argsort(inverse, kind="stable")
         first = np.cumsum(counts) - counts
         return self.X[by_cell[first[chosen] + self.rng.integers(counts[chosen])]]
 

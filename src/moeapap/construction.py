@@ -313,6 +313,8 @@ def construct(
     """
     if k < 1:
         raise ConfigurationError("portfolio size bound k must be at least 1")
+    if searches_per_iter < 1:
+        raise ConfigurationError("searches_per_iter must be at least 1")
     ev = _Evaluator(Z, runner=runner)
     subspaces = space.subspaces
     c = len(subspaces)

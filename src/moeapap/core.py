@@ -9,6 +9,8 @@ solution sets are merged, see :mod:`moeapap.portfolio`).
 
 from __future__ import annotations
 
+import heapq
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,17 +79,87 @@ def crowding_truncate_indices(F, k: int) -> np.ndarray:
     """Select ``k`` rows of a front by repeated least-crowded removal.
 
     The least crowded member (first by input order on ties) is dropped and
-    distances are recomputed until ``k`` remain, so per-objective extreme
+    distances are updated until ``k`` remain, so per-objective extreme
     points survive whenever ``k`` permits.  Returned indices are ascending.
+    Each removal gives the same distances as :func:`_kernels.crowding` on
+    the survivors.
     """
     arr = as_objectives(F)
     n = arr.shape[0]
     if k > n:
         raise ContractViolationError(f"cannot truncate {n} individuals to {k}")
-    if k == n:
-        return np.arange(n, dtype=np.int64)
-    alive = list(range(n))
-    while len(alive) > k:
-        d = _kernels.crowding(arr[alive])
-        alive.pop(int(np.argmin(d)))
-    return np.asarray(alive, dtype=np.int64)
+    keep = np.arange(n, dtype=np.int64)
+    while keep.size > k:
+        keep = keep[_drop_least_crowded(arr[keep], k)]
+    return keep
+
+
+def _drop_least_crowded(F, k: int) -> np.ndarray:
+    """Drop least-crowded rows of ``F`` until ``k`` remain or an extreme
+    (+inf distance) has to go; return the surviving row indices, ascending.
+
+    Each objective keeps its rows in a doubly linked list in (value, index)
+    order and each row its per-objective contribution, so a removal
+    recomputes only the removed row's neighbours, summing contributions in
+    objective order as :func:`_kernels.crowding` does.  Only removing an
+    extreme changes an objective's range; the pass then stops and the
+    caller starts over on the survivors.
+    """
+    n, m = F.shape
+    cols = F.T.tolist()
+    spans, prev, nxt, gaps = [], [], [], []
+    dist = np.zeros(n)
+    for c in range(m):
+        order = np.argsort(F[:, c], kind="stable")
+        vals = F[order, c]
+        span = float(vals[-1] - vals[0])
+        gap = np.zeros(n)
+        gap[order[0]] = gap[order[-1]] = np.inf
+        if span > 0.0:
+            gap[order[1:-1]] = (vals[2:] - vals[:-2]) / span
+        dist += gap
+        ranked = order.tolist()
+        before = [-1] * n
+        after = [-1] * n
+        for a, b in zip(ranked, ranked[1:]):
+            after[a] = b
+            before[b] = a
+        spans.append(span)
+        prev.append(before)
+        nxt.append(after)
+        gaps.append(gap.tolist())
+    dist = dist.tolist()
+    heap = list(zip(dist, range(n)))
+    heapq.heapify(heap)
+    alive = [True] * n
+    left = n
+    while left > k:
+        d, r = heapq.heappop(heap)
+        if not alive[r] or d != dist[r]:
+            continue  # superseded by a later entry for the same row
+        alive[r] = False
+        left -= 1
+        if d == math.inf:
+            break
+        touched = set()
+        for c in range(m):
+            before, after, gap, vals = prev[c], nxt[c], gaps[c], cols[c]
+            p, q = before[r], after[r]
+            # a finite row is interior in every objective, so p and q exist
+            after[p] = q
+            before[q] = p
+            if spans[c] > 0.0:
+                if before[p] >= 0:
+                    gap[p] = (vals[q] - vals[before[p]]) / spans[c]
+                if after[q] >= 0:
+                    gap[q] = (vals[after[q]] - vals[p]) / spans[c]
+            touched.add(p)
+            touched.add(q)
+        for i in touched:
+            d = 0.0
+            for c in range(m):
+                d += gaps[c][i]
+            if d != dist[i]:
+                dist[i] = d
+                heapq.heappush(heap, (d, i))
+    return np.flatnonzero(alive)

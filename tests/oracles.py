@@ -143,3 +143,65 @@ def pbest_replaced_by_rows(F, pbest_F, coin):
         relation = pareto_relation(f, p)
         out.append(relation == "a" or (relation == "incomparable" and bool(c)))
     return np.asarray(out, dtype=bool)
+
+
+def crowding_removal_order(F):
+    """Rows in the order repeated least-crowded removal drops them: the
+    first row (by input order) of least ``crowding_by_definition`` distance
+    among the survivors goes, and distances are recomputed from scratch."""
+    alive = list(range(len(F)))
+    order = []
+    while alive:
+        d = crowding_by_definition(F[alive])
+        order.append(alive.pop(int(np.argmin(d))))
+    return order
+
+
+class ListArchive:
+    """The MOPSO grid archive kept as Python lists: dominance checked pair by
+    pair, grid cells as coordinate tuples grouped in lexicographic order.
+    It makes the same random draws as ``mopso._GridArchive``."""
+
+    def __init__(self, capacity, divisions, rng):
+        self.capacity = capacity
+        self.divisions = divisions
+        self.rng = rng
+        self.X = []
+        self.F = []
+
+    def insert(self, x, f):
+        if any(pareto_relation(g, f) in ("a", "equal") for g in self.F):
+            return False
+        kept = [i for i, g in enumerate(self.F) if pareto_relation(f, g) != "a"]
+        self.X = [self.X[i] for i in kept] + [list(x)]
+        self.F = [self.F[i] for i in kept] + [list(f)]
+        if len(self.F) > self.capacity:
+            groups = self._groups()
+            members = max(groups, key=len)  # first crowded cell on ties
+            victim = members[int(self.rng.integers(len(members)))]
+            del self.X[victim], self.F[victim]
+        return True
+
+    def _groups(self):
+        # member indices per occupied cell, cells in lexicographic order
+        m = len(self.F[0])
+        lo = [min(f[c] for f in self.F) for c in range(m)]
+        hi = [max(f[c] for f in self.F) for c in range(m)]
+        cells = {}
+        for i, f in enumerate(self.F):
+            cell = []
+            for c in range(m):
+                span = hi[c] - lo[c] if hi[c] > lo[c] else 1.0
+                cell.append(min(math.floor((f[c] - lo[c]) / span * self.divisions), self.divisions - 1))
+            cells.setdefault(tuple(cell), []).append(i)
+        return [cells[key] for key in sorted(cells)]
+
+    def select_leader(self, k):
+        if len(self.F) == 1:
+            return np.array(self.X * k)
+        groups = self._groups()
+        weights = np.array([1.0 / len(g) for g in groups])
+        chosen = self.rng.choice(len(groups), size=k, p=weights / weights.sum())
+        sizes = np.array([len(groups[c]) for c in chosen])
+        picks = self.rng.integers(sizes)
+        return np.array([self.X[groups[c][p]] for c, p in zip(chosen, picks)])

@@ -16,7 +16,7 @@ from moeapap.algorithms.mopso import _GridArchive, pbest_replaced
 from moeapap.core import ConfigurationError
 from moeapap.problems import get_problem
 
-from .oracles import brute_force_peel_ranks, pbest_replaced_by_rows
+from .oracles import ListArchive, brute_force_peel_ranks, pbest_replaced_by_rows
 
 
 def nsga2_sbx(**kw):
@@ -286,6 +286,22 @@ class TestMopso:
         archive = _GridArchive(5, 4, rng_for("one"), n_vars=2, m=2)
         archive.insert(np.array([0.3, 0.7]), np.array([1.0, 2.0]))
         assert np.array_equal(archive.select_leader(3), np.tile([0.3, 0.7], (3, 1)))
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_archive_matches_list_reference(self, m):
+        # grid-valued objectives make duplicates, dominated and dominating
+        # inserts and tied crowded cells common; capacity 8 forces evictions
+        rng = np.random.default_rng(40 + m)
+        X = rng.random((400, 2))
+        F = rng.integers(0, 6, size=(400, m)) / 5.0
+        archive = _GridArchive(8, 3, np.random.default_rng(7), n_vars=2, m=m)
+        reference = ListArchive(8, 3, np.random.default_rng(7))
+        for i, (x, f) in enumerate(zip(X, F)):
+            assert archive.insert(x, f) == reference.insert(x, f)
+            assert np.array_equal(archive.X, np.array(reference.X))
+            assert np.array_equal(archive.F, np.array(reference.F))
+            if i % 20 == 19:
+                assert np.array_equal(archive.select_leader(9), reference.select_leader(9))
 
     def test_archive_capacity_invariant(self):
         result = run(mopso_cfg(), get_problem("ZDT1"), RunBudget(25, 40), seed=6)

@@ -122,6 +122,18 @@ def test_construct_zero_override_rejected(tmp_path, tiny_manifest, capsys, flag)
     assert not (tmp_path / "pf.json").exists()
 
 
+def test_construct_rejects_zero_searches_per_iter(tmp_path, tiny_manifest, capsys):
+    rc = main([
+        "construct", "--manifest", tiny_manifest, "--out", str(tmp_path / "pf.json"),
+        "--budget-per-search", "1", "--searches-per-iter", "0",
+    ])
+    assert rc == 2
+    payload = json.loads(capsys.readouterr().err)
+    assert payload["error"] == "ConfigurationError"
+    assert "searches_per_iter" in payload["message"]
+    assert not (tmp_path / "pf.json").exists()
+
+
 def test_compare_needs_two_portfolios(tmp_path, tiny_manifest, capsys):
     rc = main([
         "compare", "--portfolio", str(tmp_path / "one.json"),

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from moeapap import _kernels
+from moeapap.core import crowding_truncate_indices
 
 from .oracles import (
     box_union_volume,
@@ -12,12 +13,14 @@ from .oracles import (
     brute_force_peel_ranks,
     count_weakly_dominated,
     crowding_by_definition,
+    crowding_removal_order,
     mean_min_distance,
     rectangle_union_area,
 )
 
 
-def _random_sets(seed, m, sizes=(1, 2, 7, 40, 150)):
+def _random_sets(seed, m, sizes=(1, 2, 7, 40, 150, 300)):
+    # 300 rows cross the kernels' 256-row chunk boundary
     rng = np.random.default_rng(seed)
     for n in sizes:
         yield np.ascontiguousarray(rng.random((n, m)))
@@ -43,14 +46,36 @@ def test_crowding(m):
         assert np.allclose(_kernels.crowding(F), crowding_by_definition(F), rtol=1e-12, atol=0.0)
 
 
+def _truncation_sets(m):
+    yield from _random_sets(10 + m, m, sizes=(1, 2, 3, 7, 25))
+    # evenly spaced points: every interior point is equally crowded, so
+    # ties are broken by input order and k=2 or k=1 must drop extremes
+    t = np.arange(9.0)
+    line = np.column_stack([t, t[::-1]] + [t % 3] * (m - 2))
+    yield line
+    yield np.ascontiguousarray(line[::-1])
+    yield np.zeros((4, m))  # every objective has zero range
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_crowding_truncate_indices(m):
+    for F in _truncation_sets(m):
+        n = F.shape[0]
+        order = crowding_removal_order(F)
+        for k in range(n + 1):
+            expected = np.sort(np.asarray(order[n - k:], dtype=np.int64))
+            assert np.array_equal(crowding_truncate_indices(F, k), expected), (F, k)
+
+
 def test_hv():
     ref2 = np.array([1.2, 1.2])
     ref3 = np.array([1.2, 1.2, 1.2])
-    for F in _random_sets(4, 2):
+    sizes = (1, 2, 7, 40, 150)  # the area and volume oracles grow as n^2 and n^3
+    for F in _random_sets(4, 2, sizes):
         assert _kernels.hv2d(F, ref2) == pytest.approx(
             rectangle_union_area(F.tolist(), ref2), rel=1e-12
         )
-    for F in _random_sets(5, 3):
+    for F in _random_sets(5, 3, sizes):
         assert _kernels.hv3d(F, ref3) == pytest.approx(box_union_volume(F, ref3), rel=1e-12)
 
 
