@@ -66,8 +66,8 @@ def nds_ranks(F):
 
 
 def crowding(F):
-    # NSGA-II crowding distance; boundary points get +inf, zero-range
-    # objectives contribute 0
+    # NSGA-II crowding distance; boundary points get +inf, and an objective
+    # with zero range marks no boundary points and adds nothing
     n, m = F.shape
     if n <= 2:
         return np.full(n, np.inf)
@@ -76,10 +76,10 @@ def crowding(F):
         order = np.argsort(F[:, k], kind="mergesort")
         vals = F[order, k]
         span = vals[-1] - vals[0]
-        dist[order[0]] = np.inf
-        dist[order[-1]] = np.inf
         if span <= 0.0:
             continue
+        dist[order[0]] = np.inf
+        dist[order[-1]] = np.inf
         interior = order[1:-1]
         contrib = (vals[2:] - vals[:-2]) / span
         finite = ~np.isinf(dist[interior])

@@ -81,8 +81,8 @@ def crowding_truncate_indices(F, k: int) -> np.ndarray:
     The least crowded member (first by input order on ties) is dropped and
     distances are updated until ``k`` remain, so per-objective extreme
     points survive whenever ``k`` permits.  Returned indices are ascending.
-    Each removal gives the same distances as :func:`_kernels.crowding` on
-    the survivors.
+    Each removal drops the row that :func:`_kernels.crowding` of the
+    survivors ranks first.
     """
     arr = as_objectives(F)
     n = arr.shape[0]
@@ -98,36 +98,34 @@ def _drop_least_crowded(F, k: int) -> np.ndarray:
     """Drop least-crowded rows of ``F`` until ``k`` remain or an extreme
     (+inf distance) has to go; return the surviving row indices, ascending.
 
-    Each objective keeps its rows in a doubly linked list in (value, index)
-    order and each row its per-objective contribution, so a removal
+    Each objective of positive range keeps its rows in a doubly linked list
+    in (value, index) order and each row's contribution, so a removal
     recomputes only the removed row's neighbours, summing contributions in
     objective order as :func:`_kernels.crowding` does.  Only removing an
-    extreme changes an objective's range; the pass then stops and the
-    caller starts over on the survivors.
+    extreme changes a range; the pass then stops and the caller starts over
+    on the survivors.
     """
-    n, m = F.shape
-    cols = F.T.tolist()
-    spans, prev, nxt, gaps = [], [], [], []
+    n = F.shape[0]
     dist = np.zeros(n)
-    for c in range(m):
-        order = np.argsort(F[:, c], kind="stable")
-        vals = F[order, c]
+    objectives = []  # (span, before, after, gaps, values) per ranged objective
+    for column in F.T:
+        order = np.argsort(column, kind="stable")
+        vals = column[order]
         span = float(vals[-1] - vals[0])
-        gap = np.zeros(n)
-        gap[order[0]] = gap[order[-1]] = np.inf
-        if span > 0.0:
-            gap[order[1:-1]] = (vals[2:] - vals[:-2]) / span
-        dist += gap
+        if span <= 0.0:
+            continue  # adds nothing, and its range stays zero as rows go
+        gaps = np.zeros(n)
+        gaps[order[0]] = gaps[order[-1]] = np.inf
+        gaps[order[1:-1]] = (vals[2:] - vals[:-2]) / span
+        dist += gaps
         ranked = order.tolist()
         before = [-1] * n
         after = [-1] * n
         for a, b in zip(ranked, ranked[1:]):
             after[a] = b
             before[b] = a
-        spans.append(span)
-        prev.append(before)
-        nxt.append(after)
-        gaps.append(gap.tolist())
+        objectives.append((span, before, after, gaps.tolist(), column.tolist()))
+    contributions = [objective[3] for objective in objectives]
     dist = dist.tolist()
     heap = list(zip(dist, range(n)))
     heapq.heapify(heap)
@@ -142,23 +140,21 @@ def _drop_least_crowded(F, k: int) -> np.ndarray:
         if d == math.inf:
             break
         touched = set()
-        for c in range(m):
-            before, after, gap, vals = prev[c], nxt[c], gaps[c], cols[c]
+        for span, before, after, gaps, vals in objectives:
+            # a finite row is no boundary point, so it has both neighbours
             p, q = before[r], after[r]
-            # a finite row is interior in every objective, so p and q exist
             after[p] = q
             before[q] = p
-            if spans[c] > 0.0:
-                if before[p] >= 0:
-                    gap[p] = (vals[q] - vals[before[p]]) / spans[c]
-                if after[q] >= 0:
-                    gap[q] = (vals[after[q]] - vals[p]) / spans[c]
+            if before[p] >= 0:
+                gaps[p] = (vals[q] - vals[before[p]]) / span
+            if after[q] >= 0:
+                gaps[q] = (vals[after[q]] - vals[p]) / span
             touched.add(p)
             touched.add(q)
         for i in touched:
             d = 0.0
-            for c in range(m):
-                d += gaps[c][i]
+            for gaps in contributions:
+                d += gaps[i]
             if d != dist[i]:
                 dist[i] = d
                 heapq.heappush(heap, (d, i))

@@ -85,7 +85,8 @@ def crowding_by_definition(F):
     Along each objective the points are ordered by (value, input index).  A
     point with no predecessor or no successor is a boundary point and gets
     +inf; an interior point adds the gap between its two neighbours,
-    divided by the objective's range when that range is positive.
+    divided by the objective's range.  An objective whose range is zero
+    has no boundary points and adds nothing.
     """
     n, m = F.shape
     if n <= 2:
@@ -93,13 +94,15 @@ def crowding_by_definition(F):
     dist = np.zeros(n)
     for k in range(m):
         span = F[:, k].max() - F[:, k].min()
+        if span <= 0.0:
+            continue
         for i in range(n):
             key = (F[i, k], i)
             below = [F[j, k] for j in range(n) if (F[j, k], j) < key]
             above = [F[j, k] for j in range(n) if (F[j, k], j) > key]
             if not below or not above:
                 dist[i] = np.inf
-            elif span > 0.0:
+            else:
                 dist[i] += (min(above) - max(below)) / span
     return dist
 

@@ -147,6 +147,13 @@ class TestCrowding:
         assert tuple(kept[0]) == tuple(F[0])
         assert tuple(kept[-1]) == tuple(F[-1])
 
+    def test_truncate_keeps_extremes_beside_zero_range_objective(self):
+        # f3 is constant; its first and last rows by input order are no
+        # extremes and must not protect (2, 1, 5) over (0, 3, 5)
+        F = np.array([[1.0, 2.0, 5.0], [0.0, 3.0, 5.0], [3.0, 0.0, 5.0], [2.0, 1.0, 5.0]])
+        sel = crowding_truncate_indices(F, 2)
+        assert sorted(map(tuple, F[sel])) == [(0.0, 3.0, 5.0), (3.0, 0.0, 5.0)]
+
     def test_truncate_too_large_k(self):
         with pytest.raises(ContractViolationError):
             crowding_truncate_indices(np.zeros((3, 2)), 4)
