@@ -5,8 +5,12 @@ Runs every kernel on random inputs of a few sizes and prints the best
 per-call time of a few repeats after one warm-up call.  It also times
 ``core.crowding_truncate_indices`` halving an n-row 3-objective set, and
 ``_GridArchive.insert`` per call over n inserts of noisy ZDT1-front points
-into an archive of capacity n/2 (10 grid divisions, the perfbench MOPSO
-setting).
+into an archive of capacity n/2 (10 grid divisions, as in the perfbench
+MOPSO member).  With ``--json PATH`` the times are appended to PATH as one
+entry with the machine and the git SHA of the imported ``moeapap``, as
+``bench_engines.py`` does:
+
+    PYTHONPATH=src python benchmarks/bench_kernels.py --label change --json BENCH_5.json
 """
 
 from __future__ import annotations
@@ -17,11 +21,12 @@ import time
 from pathlib import Path
 
 import numpy as np
-from bench_engines import _git_sha, _machine
 
 from moeapap import _kernels
 from moeapap.algorithms.mopso import _GridArchive
 from moeapap.core import crowding_truncate_indices
+
+from bench_engines import _git_sha, _machine
 
 KERNELS = ("nd_mask", "nds_ranks", "crowding", "hv2d", "hv3d", "mean_min_dist", "count_dominated")
 SIZES = (200, 600, 1500)
@@ -64,7 +69,7 @@ def _archive_inserts(X, F):
 
 def _front_stream(n: int, rng):
     # points near the ZDT1 front, so inserts are accepted, rejected and
-    # evict members in realistic shares
+    # evict members
     t = rng.random(n)
     F = np.column_stack((t, 1.0 - np.sqrt(t))) + 0.05 * rng.random((n, 2))
     return rng.random((n, 30)), F
