@@ -87,21 +87,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_construct(args) -> int:
-    from . import construction, experiments
+    from . import algorithms, construction, experiments
 
     manifest = experiments.load_manifest(args.manifest or default_manifest("train"))
-    seeds = None
-    if args.runs_per_problem is not None:
-        seeds = tuple(range(1, args.runs_per_problem + 1))
+    runs = args.runs_per_problem
+    seeds = None if runs is None else tuple(range(1, runs + 1))
     Z = experiments.training_set_from_manifest(
         manifest, pop_size=args.pop_size, max_generations=args.max_gens, seeds=seeds
     )
-    if args.foundations:
-        space = construction.ConfigSpace.for_foundations(
-            *[f.strip().upper() for f in args.foundations.split(",") if f.strip()]
-        )
-    else:
-        space = construction.ConfigSpace.default()
+    given = args.foundations.split(",") if args.foundations else algorithms.FOUNDATIONS
+    foundations = [f.strip().upper() for f in given if f.strip()]
+    space = construction.ConfigSpace.for_foundations(*foundations)
     portfolio, report = construction.construct(
         space,
         Z,
@@ -121,11 +117,12 @@ def _cmd_construct(args) -> int:
     return 0
 
 
-def _experiment_config(args, mode: str):
+def _cmd_experiment(args) -> int:
+    """``evaluate`` and ``compare``; the subcommand is the experiment mode."""
     from . import experiments
 
-    return experiments.ExperimentConfig(
-        mode=mode,
+    cfg = experiments.ExperimentConfig(
+        mode=args.command,
         portfolio_paths=tuple(args.portfolio),
         manifest_path=args.manifest or default_manifest("test"),
         repetitions=args.repetitions,
@@ -136,24 +133,10 @@ def _experiment_config(args, mode: str):
         master_seed=args.seed,
         workers=args.workers,
     )
-
-
-def _cmd_evaluate(args) -> int:
-    from . import experiments
-
-    cfg = _experiment_config(args, "evaluate")
     table = experiments.run_experiment(cfg)
-    print(f"{len(table.rows)} result rows -> {cfg.output_dir}/results.csv")
-    return 0
-
-
-def _cmd_compare(args) -> int:
-    from . import experiments
-
-    if len(args.portfolio) < 2:
-        raise ConfigurationError("compare needs at least two --portfolio files")
-    cfg = _experiment_config(args, "compare")
-    table = experiments.run_experiment(cfg)
+    if cfg.mode == "evaluate":
+        print(f"{len(table.rows)} result rows -> {cfg.output_dir}/results.csv")
+        return 0
     tests, wdl = experiments.compare_report(table)
     experiments.write_compare_files(cfg.output_dir, tests, wdl)
     for baseline, opponent, indicator, w, d, l in wdl:
@@ -174,18 +157,15 @@ def _cmd_analyze_members(args) -> int:
     outdir = Path(args.out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "member_analysis.txt").write_text(analysis.as_text(), encoding="utf-8")
-    import csv as _csv
-
-    with open(outdir / "member_analysis.csv", "w", encoding="utf-8", newline="\n") as fh:
-        _csv.writer(fh, lineterminator="\n").writerows(analysis.as_csv_rows())
+    experiments.write_csv(outdir / "member_analysis.csv", analysis.as_csv_rows())
     sys.stdout.write(analysis.as_text())
     return 0
 
 
 _COMMANDS = {
     "construct": _cmd_construct,
-    "evaluate": _cmd_evaluate,
-    "compare": _cmd_compare,
+    "evaluate": _cmd_experiment,
+    "compare": _cmd_experiment,
     "analyze-members": _cmd_analyze_members,
 }
 

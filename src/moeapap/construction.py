@@ -25,11 +25,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import algorithms, indicators, problems
+from . import indicators, problems
 from ._seeding import rng_for, seed_sequence
 from .algorithms import FOUNDATIONS, LEGAL_OPERATORS, PARAM_SCHEMAS, AlgorithmConfig, RunBudget
 from .core import ConfigurationError, ContractViolationError
-from .portfolio import Portfolio, member_seed, output_rule
+from .portfolio import Portfolio, _run_member, output_rule
 
 PORTFOLIO_FORMAT = "moeapap-portfolio"
 PORTFOLIO_VERSION = 1
@@ -54,6 +54,10 @@ class Subspace:
 
     @staticmethod
     def for_foundation(foundation: str) -> "Subspace":
+        if foundation not in FOUNDATIONS:
+            raise ConfigurationError(
+                f"unknown foundation {foundation!r}; valid foundations: {', '.join(FOUNDATIONS)}"
+            )
         ops = LEGAL_OPERATORS[foundation]
         return Subspace(
             foundation, ops, {op: dict(PARAM_SCHEMAS[(foundation, op)]) for op in ops}
@@ -179,16 +183,12 @@ class _Evaluator:
             self.hits += 1
             return self.runs[key]
         self.misses += 1
-        runner = self.runner if self.runner is not None else algorithms.run
         problem = problems.get_problem(entry.name)
-        try:
-            result = runner(config, problem, entry.budget, member_seed(seed, config))
-        except Exception as exc:  # noqa: BLE001 - failures score as no-improvement
-            self.failures.append((config.label(), entry.name, f"{type(exc).__name__}: {exc}"))
-            self.runs[key] = (None, None)
-        else:
-            ctx = indicators.HvContext.for_problem(entry.name)
-            self.runs[key] = (result, indicators.ihvr(result.solution_set, ctx))
+        result, metric, failure = _run_member(config, problem, entry.budget, seed,
+                                              runner=self.runner)
+        if failure is not None:  # scored as no improvement
+            self.failures.append((config.label(), entry.name, failure))
+        self.runs[key] = (result, metric)
         return self.runs[key]
 
     def omega_problem(self, configs, entry: TrainingProblem) -> float:

@@ -15,6 +15,8 @@ import json
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import partial
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +24,7 @@ import numpy as np
 from . import algorithms, indicators, problems
 from ._seeding import seed_sequence
 from .algorithms import RunBudget
-from .construction import TrainingProblem, TrainingSet
+from .construction import TrainingProblem, TrainingSet, load_portfolio
 from .core import ConfigurationError
 from .portfolio import PapRunResult, Portfolio, restructure, run_pap
 from .stats import ALPHA, wdl_counts, wilcoxon_rank_sum
@@ -138,38 +140,40 @@ class ExperimentConfig:
         bad = [i for i in self.indicators if i not in ALL_INDICATORS]
         if bad:
             raise ConfigurationError(f"unknown indicators {bad}")
+        if self.mode not in ("evaluate", "compare"):
+            raise ConfigurationError(f"mode must be 'evaluate' or 'compare', got {self.mode!r}")
+        if self.mode == "compare" and len(self.portfolio_paths) < 2:
+            raise ConfigurationError("compare needs at least two portfolios")
 
 
 @dataclass
 class ResultTable:
     rows: list[tuple] = field(default_factory=list)  # CSV_HEADER-shaped tuples
     timings: list[tuple] = field(default_factory=list)
+    failures: list[tuple] = field(default_factory=list)  # as _RunRecord.failures
+    _cells: dict[tuple, list[float]] = field(default_factory=dict, repr=False)
+
+    def add_row(self, row: tuple) -> None:
+        self.rows.append(row)
+        self._cells.setdefault((row[2], row[3], row[5]), []).append(row[6])
 
     def values(self, algorithm: str, problem: str, indicator: str) -> list[float]:
-        return [
-            r[6]
-            for r in self.rows
-            if r[2] == algorithm and r[3] == problem and r[5] == indicator
-        ]
+        return list(self._cells.get((algorithm, problem, indicator), ()))
 
     def algorithms(self) -> list[str]:
-        seen = dict.fromkeys(r[2] for r in self.rows)
-        return list(seen)
+        return list(dict.fromkeys(key[0] for key in self._cells))
 
     def problems(self) -> list[str]:
-        seen = dict.fromkeys(r[3] for r in self.rows)
-        return list(seen)
+        return list(dict.fromkeys(key[1] for key in self._cells))
 
     def summary_rows(self) -> list[tuple]:
         out = []
         for alg in self.algorithms():
             for prob in self.problems():
                 for ind in ALL_INDICATORS:
-                    vals = self.values(alg, prob, ind)
-                    if not vals:
-                        continue
-                    arr = np.asarray(vals)
-                    out.append((alg, prob, ind, float(arr.mean()), float(arr.var())))
+                    vals = np.asarray(self.values(alg, prob, ind))
+                    if vals.size:
+                        out.append((alg, prob, ind, float(vals.mean()), float(vals.var())))
         return out
 
 
@@ -179,95 +183,124 @@ def run_seed_for(master_seed: int, problem_name: str, repetition: int) -> int:
     return int(state[0])
 
 
+def _variant_run(variant: str, n_factor: int, config, problem, budget, seed):
+    if variant == NGEN:
+        return algorithms.run(config, problem, budget.scaled(gen_factor=n_factor), seed)
+    result = algorithms.run(config, problem, budget.scaled(pop_factor=n_factor), seed)
+    reduced = restructure([result.solution_set], cap=budget.pop_size)
+    return replace(result, solution_set=reduced)
+
+
 def variant_runner(variant: str, n_factor: int):
     """Wrap the engine dispatch with the budget-fairness variant semantics.
 
     NGEN multiplies the generation budget; NSIZE multiplies the population
     and reduces the final set back to the original population size through
-    the restructure rule.
+    the restructure rule.  The runner pickles, so it crosses to workers.
     """
     if variant == BASE or n_factor == 1:
         return None
+    return partial(_variant_run, variant, n_factor)
 
-    def runner(config, problem, budget, seed):
-        if variant == NGEN:
-            scaled = budget.scaled(gen_factor=n_factor)
-            return algorithms.run(config, problem, scaled, seed)
-        scaled = budget.scaled(pop_factor=n_factor)
-        result = algorithms.run(config, problem, scaled, seed)
-        reduced = restructure([result.solution_set], cap=budget.pop_size)
-        return replace(result, solution_set=reduced)
 
-    return runner
+@dataclass(frozen=True)
+class _Job:
+    portfolio_name: str
+    portfolio: Portfolio
+    entry: ManifestEntry
+    repetition: int
+    seed: int
+    runner: object  # engine dispatch override, None for algorithms.run
+    wanted: tuple[str, ...]  # indicators to compute
+
+
+@dataclass(frozen=True)
+class _RunRecord:
+    values: dict[str, float]
+    member_metrics: tuple[float | None, ...]
+    best_member_metric: float
+    omega: float
+    # (portfolio, problem, repetition, seed, member label, message) per failed member
+    failures: tuple[tuple, ...]
+    wall_ms: float
+
+
+def _jobs(portfolios, entries, repetitions: int, master_seed: int, runner, wanted=()):
+    """One job per (name, portfolio) pair, entry and repetition, in that order."""
+    return [
+        _Job(name, portfolio, entry, rep, run_seed_for(master_seed, entry.name, rep),
+             runner, wanted)
+        for name, portfolio in portfolios
+        for entry in entries
+        for rep in range(repetitions)
+    ]
 
 
 def _indicator_values(pap: PapRunResult, entry: ManifestEntry, wanted) -> dict[str, float]:
-    ctx = indicators.HvContext.for_problem(entry.name)
     out = {}
-    output = pap.output
     if HV in wanted:
-        clipped = indicators.clip_to_box(output, ctx.objective_box)
+        ctx = indicators.HvContext.for_problem(entry.name)
+        clipped = indicators.clip_to_box(pap.output, ctx.objective_box)
         out[HV] = indicators.hypervolume(clipped, ctx.reference_point)
     if IGD in wanted:
-        out[IGD] = indicators.igd(output, problems.reference_front(entry.name))
+        out[IGD] = indicators.igd(pap.output, problems.reference_front(entry.name))
     if IHVR in wanted:
         out[IHVR] = pap.omega
     return out
 
 
-def _experiment_job(args):
-    (name, portfolio, entry, repetition, seed, variant, n_factor, wanted) = args
-    problem = problems.get_problem(entry.name)
-    runner = variant_runner(variant, n_factor)
+def _experiment_job(job: _Job) -> _RunRecord:
+    problem = problems.get_problem(job.entry.name)
     start = time.perf_counter()
-    pap = run_pap(portfolio, problem, entry.budget, seed, runner=runner)
+    pap = run_pap(job.portfolio, problem, job.entry.budget, job.seed, runner=job.runner)
     wall_ms = (time.perf_counter() - start) * 1000.0
-    values = _indicator_values(pap, entry, wanted)
-    return (name, entry.name, repetition, seed, variant, values, wall_ms)
+    return _RunRecord(
+        _indicator_values(pap, job.entry, job.wanted),
+        pap.member_metrics, pap.best_member_metric, pap.omega,
+        tuple((job.portfolio_name, job.entry.name, job.repetition, job.seed,
+               job.portfolio.members[i].label(), message) for i, message in pap.failures),
+        wall_ms,
+    )
+
+
+def _map_jobs(jobs: list[_Job], workers: int = 1) -> list[_RunRecord]:
+    """Records of the jobs in job order, over ``workers`` processes."""
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(_experiment_job, jobs, chunksize=1))
+    return [_experiment_job(job) for job in jobs]
+
+
+def _failure_lines(failures, heading: str) -> list[str]:
+    lines = [f"  {n} {p} repetition={r} seed={s} {label}: {msg}"
+             for n, p, r, s, label, msg in failures]
+    return ["", heading, *lines] if lines else []
 
 
 def run_experiment(cfg: ExperimentConfig) -> ResultTable:
     """Evaluate every portfolio on every manifest problem for the configured
     repetitions; write results.csv, timings.csv and summary.txt."""
-    from .construction import load_portfolio
-
     manifest = load_manifest(cfg.manifest_path)
-    portfolios: list[Portfolio] = []
+    portfolios = [load_portfolio(path) for path in cfg.portfolio_paths]
     names: list[str] = []
-    for path in cfg.portfolio_paths:
-        p = load_portfolio(path)
-        name = p.name
-        if name in names:  # disambiguate duplicates by file stem
-            name = f"{name}:{Path(path).stem}"
-        portfolios.append(p)
-        names.append(name)
+    for path, p in zip(cfg.portfolio_paths, portfolios):  # disambiguate duplicates by file stem
+        names.append(f"{p.name}:{Path(path).stem}" if p.name in names else p.name)
     if len(set(names)) != len(names):
         raise ConfigurationError(f"portfolio names collide: {names}")
 
-    jobs = []
-    for name, portfolio in zip(names, portfolios):
-        for entry in manifest.entries:
-            for rep in range(cfg.repetitions):
-                seed = run_seed_for(cfg.master_seed, entry.name, rep)
-                jobs.append(
-                    (name, portfolio, entry, rep, seed, cfg.variant, cfg.n_factor, cfg.indicators)
-                )
-
-    if cfg.workers > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            outcomes = list(pool.map(_experiment_job, jobs, chunksize=1))
-    else:
-        outcomes = [_experiment_job(job) for job in jobs]
-
-    # deterministic ordering regardless of scheduling
-    outcomes.sort(key=lambda o: (names.index(o[0]), o[1], o[2]))
+    runner = variant_runner(cfg.variant, cfg.n_factor)
+    jobs = _jobs(zip(names, portfolios), manifest.entries, cfg.repetitions, cfg.master_seed,
+                 runner, cfg.indicators)
+    # the runs go in manifest order, the results in (portfolio, problem name, repetition) order
+    runs = sorted(zip(jobs, _map_jobs(jobs, cfg.workers)), key=lambda run: (
+        names.index(run[0].portfolio_name), run[0].entry.name, run[0].repetition))
     table = ResultTable()
-    run_id = 0
-    for name, prob, rep, seed, variant, values, wall_ms in outcomes:
+    for run_id, (job, record) in enumerate(runs):
+        name, prob = job.portfolio_name, job.entry.name
         for ind in cfg.indicators:
-            table.rows.append((run_id, seed, name, prob, variant, ind, values[ind]))
-        table.timings.append((run_id, name, prob, rep, wall_ms))
-        run_id += 1
+            table.add_row((run_id, job.seed, name, prob, cfg.variant, ind, record.values[ind]))
+        table.timings.append((run_id, name, prob, job.repetition, record.wall_ms))
+        table.failures += record.failures
 
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -281,22 +314,18 @@ def _float_repr(v: float) -> str:
     return repr(float(v))
 
 
-def _write_results_csv(path, table: ResultTable) -> None:
+def write_csv(path, rows) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
-        for row in table.rows:
-            writer.writerow(
-                (row[0], row[1], row[2], row[3], row[4], row[5], _float_repr(row[6]))
-            )
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+
+
+def _write_results_csv(path, table: ResultTable) -> None:
+    write_csv(path, [CSV_HEADER, *((*r[:6], _float_repr(r[6])) for r in table.rows)])
 
 
 def _write_timings_csv(path, table: ResultTable) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(("run_id", "algorithm", "problem", "repetition", "wall_ms"))
-        for row in table.timings:
-            writer.writerow((row[0], row[1], row[2], row[3], f"{row[4]:.3f}"))
+    header = ("run_id", "algorithm", "problem", "repetition", "wall_ms")
+    write_csv(path, [header, *((*r[:4], f"{r[4]:.3f}") for r in table.timings)])
 
 
 def format_summary(table: ResultTable, cfg: ExperimentConfig) -> str:
@@ -312,6 +341,9 @@ def format_summary(table: ResultTable, cfg: ExperimentConfig) -> str:
     ]
     for alg, prob, ind, mean, var in table.summary_rows():
         lines.append(f"{alg:28s} {prob:8s} {ind:9s} {mean:14.6g} {var:12.3e}")
+    lines += _failure_lines(
+        table.failures, "member-run failures (each excluded from its run's candidates):"
+    )
     return "\n".join(lines) + "\n"
 
 
@@ -350,16 +382,12 @@ def compare_report(table: ResultTable, alpha: float = ALPHA) -> tuple[list[tuple
 def write_compare_files(output_dir, tests, wdl) -> None:
     outdir = Path(output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    with open(outdir / "wilcoxon.csv", "w", encoding="utf-8", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(("baseline", "opponent", "problem", "indicator", "statistic", "p_value", "significant"))
-        for row in tests:
-            writer.writerow((*row[:4], _float_repr(row[4]), _float_repr(row[5]), int(row[6])))
-    with open(outdir / "wdl.csv", "w", encoding="utf-8", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(("baseline", "opponent", "indicator", "win", "draw", "loss"))
-        for row in wdl:
-            writer.writerow(row)
+    header = ("baseline", "opponent", "problem", "indicator", "statistic", "p_value", "significant")
+    write_csv(outdir / "wilcoxon.csv", [
+        header, *((*r[:4], _float_repr(r[4]), _float_repr(r[5]), int(r[6])) for r in tests)
+    ])
+    header = ("baseline", "opponent", "indicator", "win", "draw", "loss")
+    write_csv(outdir / "wdl.csv", [header, *wdl])
 
 
 @dataclass
@@ -372,6 +400,7 @@ class MemberAnalysis:
     member_means: dict[str, list[float]]
     no_restructure: dict[str, float]
     full_pap: dict[str, float]
+    failures: list[tuple] = field(default_factory=list)  # as _RunRecord.failures
 
     def as_text(self) -> str:
         width = 14
@@ -393,16 +422,18 @@ class MemberAnalysis:
                 marks = " " + ("*" if v == row_best else " ")
                 cells.append(f"{v:.4f}{marks}".rjust(width))
             lines.append("".join(cells))
+        lines += _failure_lines(
+            self.failures, "member-run failures (each scores 0 in its member column):"
+        )
         return "\n".join(lines) + "\n"
 
     def as_csv_rows(self) -> list[tuple]:
-        rows = [("problem", *[f"member_{i+1}" for i in range(len(self.member_labels))], "members_only", "full_pap")]
-        for prob in self.problems:
-            rows.append(
-                (prob, *[_float_repr(v) for v in self.member_means[prob]],
-                 _float_repr(self.no_restructure[prob]), _float_repr(self.full_pap[prob]))
-            )
-        return rows
+        members = [f"member_{i+1}" for i in range(len(self.member_labels))]
+        return [("problem", *members, "members_only", "full_pap")] + [
+            (prob, *map(_float_repr, self.member_means[prob]),
+             _float_repr(self.no_restructure[prob]), _float_repr(self.full_pap[prob]))
+            for prob in self.problems
+        ]
 
 
 def member_analysis(
@@ -413,26 +444,21 @@ def member_analysis(
     runner=None,
 ) -> MemberAnalysis:
     """Mean per-member score, members-only score and full portfolio score
-    per problem, averaged over repetitions with common random numbers."""
-    labels = [m.label() for m in portfolio.members]
-    probs = []
-    member_means: dict[str, list[float]] = {}
-    no_restructure: dict[str, float] = {}
-    full_pap: dict[str, float] = {}
+    per problem, averaged over repetitions with common random numbers.  A
+    failed member run scores 0 and is listed in ``failures``."""
+    jobs = _jobs([(portfolio.name, portfolio)], manifest.entries, repetitions, master_seed,
+                 runner)
+    records = iter(_map_jobs(jobs))
+    analysis = MemberAnalysis([m.label() for m in portfolio.members], [], {}, {}, {})
     for entry in manifest.entries:
-        probs.append(entry.name)
-        problem = problems.get_problem(entry.name)
-        sums = np.zeros(len(portfolio))
-        sum_eq11 = 0.0
-        sum_eq14 = 0.0
-        for rep in range(repetitions):
-            seed = run_seed_for(master_seed, entry.name, rep)
-            pap = run_pap(portfolio, problem, entry.budget, seed, runner=runner)
-            metrics = [m if m is not None else 0.0 for m in pap.member_metrics]
-            sums += np.asarray(metrics)
-            sum_eq11 += pap.best_member_metric
-            sum_eq14 += pap.omega
-        member_means[entry.name] = (sums / repetitions).tolist()
-        no_restructure[entry.name] = sum_eq11 / repetitions
-        full_pap[entry.name] = sum_eq14 / repetitions
-    return MemberAnalysis(labels, probs, member_means, no_restructure, full_pap)
+        sums, sum_eq11, sum_eq14 = np.zeros(len(portfolio)), 0.0, 0.0
+        for record in islice(records, repetitions):
+            sums += np.asarray([m if m is not None else 0.0 for m in record.member_metrics])
+            sum_eq11 += record.best_member_metric
+            sum_eq14 += record.omega
+            analysis.failures += record.failures
+        analysis.problems.append(entry.name)
+        analysis.member_means[entry.name] = (sums / repetitions).tolist()
+        analysis.no_restructure[entry.name] = sum_eq11 / repetitions
+        analysis.full_pap[entry.name] = sum_eq14 / repetitions
+    return analysis

@@ -81,39 +81,24 @@ def restructure(sets, cap: int) -> SolutionSet:
     sets = list(sets)
     if not sets:
         raise ContractViolationError("restructure needs at least one set")
-    objectives = [s.objectives for s in sets]
-    m = objectives[0].shape[1]
-    if any(o.shape[1] != m for o in objectives):
+    if len({s.objectives.shape[1] for s in sets}) > 1:
         raise ContractViolationError("cannot restructure sets with different objective counts")
-    decisions = None
-    if all(s.decisions is not None for s in sets):
-        widths = {s.decisions.shape[1:] for s in sets if len(s)}
-        if len(widths) <= 1:
-            decisions = [s.decisions for s in sets]
-    F = np.vstack(objectives)
-    X = np.vstack(decisions) if decisions is not None else None
+    F = np.vstack([s.objectives for s in sets])
 
-    seen: dict[bytes, None] = {}
-    fresh = np.empty(F.shape[0], dtype=bool)
+    # one row index: first occurrences, then the non-dominated rows, then truncation
+    first: dict[bytes, int] = {}
     for i, row in enumerate(F):
-        key = row.tobytes()
-        fresh[i] = key not in seen
-        seen[key] = None
-    F = F[fresh]
-    if X is not None:
-        X = X[fresh]
-
-    if F.shape[0]:
-        keep = nd_mask(np.ascontiguousarray(F))
-        F = F[keep]
-        if X is not None:
-            X = X[keep]
-    if F.shape[0] > cap:
-        sel = crowding_truncate_indices(F, cap)
-        F = F[sel]
-        if X is not None:
-            X = X[sel]
-    return SolutionSet(F, X)
+        first.setdefault(row.tobytes(), i)
+    index = np.fromiter(first.values(), dtype=np.intp, count=len(first))
+    if index.size:
+        index = index[nd_mask(F[index])]
+    if index.size > cap:
+        index = index[crowding_truncate_indices(F[index], cap)]
+    X = None
+    if all(s.decisions is not None for s in sets):
+        if len({s.decisions.shape[1:] for s in sets if len(s)}) <= 1:
+            X = np.vstack([s.decisions for s in sets])[index]
+    return SolutionSet(F[index], X)
 
 
 def member_seed(run_seed: int, config: AlgorithmConfig) -> int:
@@ -155,6 +140,20 @@ def output_rule(results, metrics, cap: int, ctx, failures=()) -> PapRunResult:
     )
 
 
+def _run_member(config, problem, budget: RunBudget, seed: int, ctx=None, runner=None):
+    """``(result, ihvr, None)`` of one member run at its member seed, or
+    ``(None, None, message)`` if the engine raised.  ``ctx`` is built only
+    for a successful run; ``algorithms.run`` is looked up per call."""
+    run = algorithms.run if runner is None else runner
+    try:
+        result = run(config, problem, budget, member_seed(seed, config))
+    except Exception as exc:  # noqa: BLE001 - candidate exclusion is the contract
+        return None, None, f"{type(exc).__name__}: {exc}"
+    if ctx is None:
+        ctx = indicators.HvContext.for_problem(problem.name)
+    return result, indicators.ihvr(result.solution_set, ctx), None
+
+
 def run_pap(
     portfolio: Portfolio,
     problem,
@@ -173,14 +172,7 @@ def run_pap(
     """
     if ctx is None:
         ctx = indicators.HvContext.for_problem(problem.name)
-    run = algorithms.run if runner is None else runner
-
-    results: list[RunResult | None] = [None] * len(portfolio.members)
-    failures: list[tuple[int, str]] = []
-    for i, config in enumerate(portfolio.members):
-        try:
-            results[i] = run(config, problem, budget, member_seed(seed, config))
-        except Exception as exc:  # noqa: BLE001 - candidate exclusion is the contract
-            failures.append((i, f"{type(exc).__name__}: {exc}"))
-    metrics = [indicators.ihvr(r.solution_set, ctx) if r is not None else None for r in results]
+    runs = [_run_member(c, problem, budget, seed, ctx, runner) for c in portfolio.members]
+    results, metrics, messages = zip(*runs)
+    failures = [(i, msg) for i, msg in enumerate(messages) if msg is not None]
     return output_rule(results, metrics, budget.pop_size, ctx, failures)

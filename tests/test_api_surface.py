@@ -43,3 +43,20 @@ def test_every_public_name_has_a_caller():
         if not refs.get(name, set()) - {(path, line)}
     ]
     assert not unused, "public names with no caller: " + ", ".join(unused)
+
+
+def test_one_process_pool():
+    """Parallelism happens in one place: one function of the package refers
+    to ``ProcessPoolExecutor``."""
+    users = set()
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        scopes = [(node, node.name) for node in ast.walk(tree)
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        for node in ast.walk(tree):
+            name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+            if name != "ProcessPoolExecutor" or not isinstance(node, (ast.Name, ast.Attribute)):
+                continue
+            owner = [n for scope, n in scopes if scope.lineno <= node.lineno <= scope.end_lineno]
+            users.add((path.relative_to(ROOT), owner[-1] if owner else "<module>"))
+    assert len(users) == 1, f"ProcessPoolExecutor used in {sorted(users)}"

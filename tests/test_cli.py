@@ -122,6 +122,19 @@ def test_construct_zero_override_rejected(tmp_path, tiny_manifest, capsys, flag)
     assert not (tmp_path / "pf.json").exists()
 
 
+def test_construct_rejects_unknown_foundation(tmp_path, tiny_manifest, capsys):
+    rc = main([
+        "construct", "--manifest", tiny_manifest, "--out", str(tmp_path / "pf.json"),
+        "--budget-per-search", "1", "--foundations", "NSGA2,FOO",
+    ])
+    assert rc == 2
+    payload = json.loads(capsys.readouterr().err)
+    assert payload["error"] == "ConfigurationError"
+    assert "'FOO'" in payload["message"]
+    assert all(f in payload["message"] for f in ("NSGA2", "MOEAD", "MOPSO"))
+    assert not (tmp_path / "pf.json").exists()
+
+
 def test_construct_rejects_zero_searches_per_iter(tmp_path, tiny_manifest, capsys):
     rc = main([
         "construct", "--manifest", tiny_manifest, "--out", str(tmp_path / "pf.json"),

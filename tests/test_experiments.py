@@ -54,6 +54,13 @@ def demo_portfolio(name="demo"):
     )
 
 
+def refused_moead():
+    """A valid configuration that MOEA/D refuses at population 12: its
+    neighbourhood is larger than the number of subproblems."""
+    return AlgorithmConfig.make("MOEAD", "rand_p", F=0.5, CR=0.9, p=1, ps=0.9,
+                                n_r=2, neighbor_size=20)
+
+
 class TestManifest:
     def test_shipped_manifests_load(self):
         train = load_manifest(default_manifest("train"))
@@ -174,6 +181,55 @@ class TestRunExperiment:
         t2 = run_experiment(cfg2)
         assert t1.rows == t2.rows
 
+    def test_workers_write_the_same_csv_bytes(self, tmp_path):
+        pf = Portfolio((*demo_portfolio().members, refused_moead()), name="refusing")
+        written = []
+        for workers in (1, 2):
+            base = tmp_path / f"w{workers}"
+            base.mkdir()
+            run_experiment(self._config(base, small_manifest(), [pf], workers=workers))
+            out = base / "out"
+            written.append(((out / "results.csv").read_bytes(), (out / "summary.txt").read_bytes()))
+        assert written[0] == written[1]
+
+    def test_rows_in_portfolio_problem_repetition_order(self, tmp_path):
+        pf_b = Portfolio((AlgorithmConfig.make("NSGA2", "sbx_pm", eta_sbx=30, eta_pm=30),),
+                         name="other")
+        manifest = small_manifest(names=("ZDT2", "DTLZ2", "ZDT1"), pop=8, gens=2)
+        cfg = self._config(tmp_path, manifest, [demo_portfolio(), pf_b], reps=2,
+                           indicators=("IHVR",))
+        run_experiment(cfg)
+        lines = (tmp_path / "out" / "results.csv").read_text().splitlines()[1:]
+        cells = [(row.split(",")[2], row.split(",")[3]) for row in lines]
+        expected = [(alg, prob) for alg in ("demo", "other")
+                    for prob in ("DTLZ2", "ZDT1", "ZDT2") for _rep in range(2)]
+        assert cells == expected
+        seeds = [int(row.split(",")[1]) for row in lines]
+        assert seeds == [run_seed_for(3, prob, rep) for _alg in range(2)
+                         for prob in ("DTLZ2", "ZDT1", "ZDT2") for rep in range(2)]
+        assert [int(row.split(",")[0]) for row in lines] == list(range(12))
+
+    def test_member_failures_listed_in_summary(self, tmp_path):
+        pf = Portfolio((*demo_portfolio().members, refused_moead()), name="refusing")
+        cfg = self._config(tmp_path, small_manifest(names=("ZDT1",)), [pf], reps=2)
+        table = run_experiment(cfg)
+        assert len(table.rows) == 2 * 3
+        label = refused_moead().label()
+        assert [(f[0], f[1], f[2], f[4]) for f in table.failures] == [
+            ("refusing", "ZDT1", 0, label), ("refusing", "ZDT1", 1, label)
+        ]
+        summary = (tmp_path / "out" / "summary.txt").read_text()
+        assert "member-run failures" in summary
+        for _name, _prob, rep, seed, _label, message in table.failures:
+            assert f"refusing ZDT1 repetition={rep} seed={seed} {label}: {message}" in summary
+            assert "neighborSize 20 exceeds" in message
+
+    def test_no_failure_section_without_failures(self, tmp_path):
+        cfg = self._config(tmp_path, small_manifest(names=("ZDT1",)), [demo_portfolio()],
+                           reps=1)
+        assert not run_experiment(cfg).failures
+        assert "failures" not in (tmp_path / "out" / "summary.txt").read_text()
+
     def test_compare_report_and_crn(self, tmp_path):
         pf_b = Portfolio(
             (AlgorithmConfig.make("NSGA2", "sbx_pm", eta_sbx=30, eta_pm=30),),
@@ -199,6 +255,13 @@ class TestRunExperiment:
         with pytest.raises(ConfigurationError):
             ExperimentConfig(mode="evaluate", portfolio_paths=(), manifest_path="x",
                              variant="WRONG")
+
+    def test_mode_validated(self):
+        with pytest.raises(ConfigurationError, match="mode"):
+            ExperimentConfig(mode="evaluat", portfolio_paths=("a",), manifest_path="x")
+        with pytest.raises(ConfigurationError, match="two portfolios"):
+            ExperimentConfig(mode="compare", portfolio_paths=("a",), manifest_path="x")
+        ExperimentConfig(mode="compare", portfolio_paths=("a", "b"), manifest_path="x")
 
     def test_missing_portfolio_path_fails_before_runs(self, tmp_path):
         mpath = tmp_path / "manifest.json"
@@ -249,6 +312,21 @@ class TestMemberAnalysis:
                                    master_seed=0, runner=runner)
         prob = analysis.problems[0]
         assert analysis.full_pap[prob] > analysis.no_restructure[prob]
+
+    def test_failures_listed_and_scored_zero(self):
+        pf = Portfolio((demo_portfolio().members[0], refused_moead()), name="refusing")
+        manifest = small_manifest(names=("ZDT1", "ZDT2"), pop=12, gens=2)
+        analysis = member_analysis(pf, manifest, repetitions=2, master_seed=4)
+        assert all(analysis.member_means[prob][1] == 0.0 for prob in analysis.problems)
+        assert [(f[1], f[2], f[3]) for f in analysis.failures] == [
+            (prob, rep, run_seed_for(4, prob, rep)) for prob in ("ZDT1", "ZDT2") for rep in (0, 1)
+        ]
+        text = analysis.as_text()
+        assert "each scores 0" in text
+        for name, prob, rep, seed, label, message in analysis.failures:
+            assert name == "refusing" and label == refused_moead().label()
+            assert f"refusing {prob} repetition={rep} seed={seed} {label}: {message}" in text
+        assert all("failure" not in str(row) for row in analysis.as_csv_rows())
 
     def test_text_and_csv_render(self):
         manifest = small_manifest(names=("ZDT1",), pop=8, gens=2)

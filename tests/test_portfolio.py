@@ -107,6 +107,20 @@ class TestRestructure:
         assert out.decisions is not None and out.decisions.shape == (2, 3)
 
 
+    def test_decisions_stay_aligned(self):
+        # each decision row names its objective row, through duplicate
+        # pruning, the non-dominated filter and crowding truncation
+        t = np.linspace(0.0, 1.0, 30)
+        front = np.column_stack((t, 1.0 - t))
+        dominated = front[::3] + 0.5
+        sets = [SolutionSet(F, np.column_stack((F, F.sum(axis=1))))
+                for F in (front, dominated, front[::2])]
+        out = restructure(sets, cap=12)
+        assert len(out) == 12
+        np.testing.assert_array_equal(out.decisions[:, :2], out.objectives)
+        np.testing.assert_array_equal(out.decisions[:, 2], out.objectives.sum(axis=1))
+
+
 class TestMemberSeed:
     def test_position_independent(self):
         assert member_seed(7, _cfg_nsga2()) == member_seed(7, _cfg_nsga2())
