@@ -75,7 +75,10 @@ def _b_param(y, u, A=0.98 / 49.98, B=0.02, C=50.0):
 
 
 def _r_sum(Y, w):
-    return _correct_to_01(Y @ w / w.sum())
+    # an element-wise product and a row sum, not ``Y @ w``: a BLAS product's
+    # summation order depends on how many rows it gets, and a row must
+    # evaluate to the same bits alone as in a batch
+    return _correct_to_01((Y * w).sum(axis=1) / w.sum())
 
 
 def _r_sum_uniform(Y):

@@ -86,6 +86,18 @@ class TestEvaluationExamples:
             X = p.bounds[:, 0] + rng.random((8, p.n_vars)) * (p.bounds[:, 1] - p.bounds[:, 0])
             assert np.array_equal(p.evaluate(X), p.evaluate(X.copy()))
 
+    @pytest.mark.parametrize("name", ALL_NAMES)
+    def test_batch_rows_equal_single_rows(self, name):
+        # MOEA/D evaluates a generation's children as one batch and replays
+        # some of them one row at a time; both must give the same bits
+        p = get_problem(name)
+        for size in (1, 7, 30, 150):
+            rng = rng_for("batch-rows", name, size)
+            X = p.bounds[:, 0] + rng.random((size, p.n_vars)) * (p.bounds[:, 1] - p.bounds[:, 0])
+            F = p.evaluate(X)
+            for i in range(size):
+                assert np.array_equal(F[i], p.evaluate(X[i])), (name, size, i)
+
     def test_zdt5_bit_paths_agree(self):
         p = get_problem("ZDT5")
         rng = rng_for("zdt5")
