@@ -5,8 +5,19 @@ is the largest one not exceeding the requested population size and the
 effective population is adjusted down to it.  Each subproblem mates inside
 its neighborhood with probability Ps (otherwise in the whole population) and
 an offspring replaces at most n_r worse neighbors.
-"""
 
+The loop is steady-state: child i is offered to its pool before subproblem
+i + 1 mates.  It runs in batches all the same.  A generation's random draws
+and the SBX spread and PM application mask are computed up front; all n
+children are made from the population the generation starts with and
+evaluated in one call; then they are replayed in index order.  A child
+keeps its batch row when none of its parents (the SBX mates, or the DE
+target and donors) has been replaced earlier in the generation; otherwise
+it is rebuilt from the current population by the same function, on one
+row, and evaluated alone.  Each subproblem's current Tchebycheff value is
+kept and recomputed only when the ideal point moves.  The results equal
+those of making and evaluating one child at a time, bit for bit.
+"""
 from __future__ import annotations
 
 import time
@@ -82,40 +93,65 @@ def run_moead(problem, config: AlgorithmConfig, budget: RunBudget, seed: int) ->
     np.put_along_axis(in_neighborhood, neighbors, True, axis=1)
     not_self = ~np.eye(n, dtype=bool)
     W_t = tchebycheff_weights(W)
+    G = tchebycheff(F, W_t, ideal)  # each subproblem's current score
     for _ in range(budget.max_generations):
-        # everything a child needs is drawn up front; the children are still
-        # made one at a time, each updating its pool before the next mates
+        # everything a child needs is drawn up front
         pools = np.where((rng.random(n) < ps)[:, None], in_neighborhood, True)
         if de is None:
-            mates = pick_donors(pools, 2, rng)
-            U_sbx = rng.random((3, n, d))
+            parents = pick_donors(pools, 2, rng)
+            spread = operators.sbx_coefficients(sbx, rng.random((3, n, d)))
             U_pm = rng.random((2, n, d))
+            mutated = U_pm[0] < pm.p_m
         else:
             donors = pick_donors(pools & not_self, n_donors(de), rng)
             masks = operators.de_crossover_mask((n, d), de.CR, rng)
+            parents = np.column_stack((np.arange(n), donors))
         orders = shuffled_pools(pools, rng)
         pool_sizes = pools.sum(axis=1)
-        for i in range(n):
+
+        def build(rows: slice) -> np.ndarray:
+            """Children ``rows`` made from the population as it stands."""
             if de is None:
-                k1, k2 = mates[i]
-                child, _ = operators.sbx_apply(X[k1], X[k2], sbx, bounds, U_sbx[:, i])
-                child = operators.pm_apply(child, pm, bounds, U_pm[:, i])
-            else:
-                picked = donors[i]
-                child = operators.de_apply(
-                    X[i], X[picked[0]], X[picked[1:de.p + 1]], X[picked[de.p + 1:]],
-                    de, bounds, masks[i],
+                mates = parents[rows]
+                child = operators.sbx_child(
+                    X[mates[:, 0]], X[mates[:, 1]], [c[rows] for c in spread], bounds
                 )
-            f_child = problem.evaluate(child)
+                return operators.pm_apply(child, pm, bounds, mutated[rows], U_pm[1, rows])
+            picked = donors[rows]
+            return operators.de_apply(
+                X[rows], X[picked[:, 0]], X[picked[:, 1:de.p + 1]], X[picked[:, de.p + 1:]],
+                de, bounds, masks[rows],
+            )
+
+        # Speculate: make and evaluate every child from the generation's
+        # starting population in one batch.  Replaying them in order keeps
+        # the loop steady-state: a child whose parents were all left alone
+        # so far equals its speculative row bit for bit (element-wise
+        # arithmetic; batch evaluation equals row evaluation), and any other
+        # child is rebuilt from the current population.
+        children = build(slice(None))
+        F_children = problem.evaluate(children)
+        replaced = np.zeros(n, dtype=bool)
+        for i in range(n):
+            if replaced[parents[i]].any():
+                child = build(slice(i, i + 1))
+                f_child = problem.evaluate(child)[0]
+                child = child[0]
+            else:
+                child, f_child = children[i], F_children[i]
             evaluations += 1
-            ideal = np.minimum(ideal, f_child)
+            if (f_child < ideal).any():
+                ideal = np.minimum(ideal, f_child)
+                G = tchebycheff(F, W_t, ideal)
             order = orders[i, :pool_sizes[i]]
-            weights = W_t[order]
-            g_child = tchebycheff(f_child, weights, ideal)
-            g_current = tchebycheff(F[order], weights, ideal)
-            winners = order[g_child < g_current][:n_r]
-            X[winners] = child
-            F[winners] = f_child
+            g_child = tchebycheff(f_child, W_t[order], ideal)
+            won = np.flatnonzero(g_child < G[order])[:n_r]
+            if won.size:
+                winners = order[won]
+                X[winners] = child
+                F[winners] = f_child
+                G[winners] = g_child[won]
+                replaced[winners] = True
 
     keep = nondominated_indices(F)
     if keep.size > budget.pop_size:

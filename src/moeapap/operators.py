@@ -12,8 +12,11 @@ and row ``i`` of a batched result equals a one-row call fed row ``i`` of
 each block.
 
 SBX, PM and DE also expose their arithmetic on pre-drawn uniforms
-(``sbx_apply``, ``pm_apply``, ``de_apply``): the steady-state MOEA/D loop
-draws a generation's blocks up front and builds one child at a time.
+(``sbx_coefficients`` with ``sbx_child``, ``pm_apply``, ``de_apply``), so
+MOEA/D can draw a generation's blocks once and make any subset of its
+children from them: all of them as one batch, or one row again after the
+population has changed.  SBX keeps one copy of the spread formula; MOEA/D
+computes only the child it keeps, NSGA-II both.
 """
 
 from __future__ import annotations
@@ -101,23 +104,33 @@ def sbx_crossover(x1, x2, params: SbxParams, bounds, rng) -> tuple[np.ndarray, n
     x2 = np.asarray(x2, dtype=np.float64)
     if x1.shape != x2.shape:
         raise ContractViolationError("SBX parents must have equal shapes")
-    U = np.stack([rng.random(x1.shape) for _ in range(3)])
-    return sbx_apply(x1, x2, params, bounds, U)
+    coefficients = sbx_coefficients(params, [rng.random(x1.shape) for _ in range(3)])
+    return sbx_child(x1, x2, coefficients, bounds), sbx_child(x2, x1, coefficients, bounds)
 
 
-def sbx_apply(x1, x2, params: SbxParams, bounds, U) -> tuple[np.ndarray, np.ndarray]:
-    """SBX on pre-drawn uniforms ``U = (crossing, spread, exchange)``."""
-    cross = U[0] < 0.5
+def sbx_coefficients(params: SbxParams, U) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """SBX on pre-drawn uniforms ``U = (crossing, spread, exchange)`` as
+    per-variable coefficients ``(cross, exchange, P, Q)``.
+
+    ``P``, ``Q`` are the spread factors ``1 + beta``, ``1 - beta``, swapped
+    where ``exchange`` holds; ``sbx_child`` turns them into the first child,
+    and into the second when the parents are passed in swapped order.
+    """
     r = U[1]
     exponent = 1.0 / (1.0 + params.eta)
     beta = np.where(r <= 0.5, (2.0 * r) ** exponent, (1.0 / (2.0 - 2.0 * r)) ** exponent)
-    c1 = 0.5 * ((1.0 + beta) * x1 + (1.0 - beta) * x2)
-    c2 = 0.5 * ((1.0 - beta) * x1 + (1.0 + beta) * x2)
-    c1 = np.where(cross, c1, x1)
-    c2 = np.where(cross, c2, x2)
     exchange = U[2] < 0.5
-    c1, c2 = np.where(exchange, c2, c1), np.where(exchange, c1, c2)
-    return clamp(c1, bounds), clamp(c2, bounds)
+    P = np.where(exchange, 1.0 - beta, 1.0 + beta)
+    Q = np.where(exchange, 1.0 + beta, 1.0 - beta)
+    return U[0] < 0.5, exchange, P, Q
+
+
+def sbx_child(x1, x2, coefficients, bounds) -> np.ndarray:
+    """The first SBX child of ``x1``, ``x2`` from ``sbx_coefficients``:
+    ``0.5 * (P * x1 + Q * x2)`` where crossed, else ``x2`` where exchanged,
+    else ``x1``.  ``sbx_child(x2, x1, ...)`` is the second child."""
+    cross, exchange, P, Q = coefficients
+    return clamp(np.where(cross, 0.5 * (P * x1 + Q * x2), np.where(exchange, x2, x1)), bounds)
 
 
 def polynomial_mutation(x, params: PmParams, bounds, rng) -> np.ndarray:
@@ -126,25 +139,30 @@ def polynomial_mutation(x, params: PmParams, bounds, rng) -> np.ndarray:
     Draw order: application uniforms, then the perturbation uniforms.
     """
     x = np.asarray(x, dtype=np.float64)
-    U = np.stack([rng.random(x.shape) for _ in range(2)])
-    return pm_apply(x, params, bounds, U)
+    applied = rng.random(x.shape) < params.p_m
+    return pm_apply(x, params, bounds, applied, rng.random(x.shape))
 
 
-def pm_apply(x, params: PmParams, bounds, U) -> np.ndarray:
-    """Polynomial mutation on pre-drawn uniforms ``U = (application, perturbation)``."""
-    lo = bounds[:, 0]
-    hi = bounds[:, 1]
+def pm_apply(x, params: PmParams, bounds, applied, r) -> np.ndarray:
+    """Polynomial mutation on a pre-drawn application mask and perturbation
+    uniforms ``r``.  Only the variables where ``applied`` holds are computed
+    and clamped; the others are returned as they are."""
+    out = np.array(x, dtype=np.float64)
+    at = np.nonzero(applied)
+    v = out[at]
+    r = r[at]
+    lo = bounds[at[-1], 0]
+    hi = bounds[at[-1], 1]
     span = hi - lo
-    apply = U[0] < params.p_m
-    r = U[1]
     with np.errstate(divide="ignore", invalid="ignore"):
-        d_up = np.where(span > 0, (hi - x) / span, 0.0)
-        d_down = np.where(span > 0, (x - lo) / span, 0.0)
+        d_up = np.where(span > 0, (hi - v) / span, 0.0)
+        d_down = np.where(span > 0, (v - lo) / span, 0.0)
     exponent = 1.0 / (params.eta + 1.0)
     low_branch = (2.0 * r + (1.0 - 2.0 * r) * d_up ** (params.eta + 1.0)) ** exponent - 1.0
     high_branch = 1.0 - (2.0 * (1.0 - r) + (2.0 * r - 1.0) * d_down ** (params.eta + 1.0)) ** exponent
     delta = np.where(r <= 0.5, low_branch, high_branch)
-    return clamp(np.where(apply, x + delta * span, x), bounds)
+    out[at] = np.minimum(np.maximum(v + delta * span, lo), hi)
+    return out
 
 
 def de_mutation(target, base, pairs_a, pairs_b, params: DeParams, bounds, rng) -> np.ndarray:

@@ -5,8 +5,22 @@ sorting tricks or sweeps shared with the code under test.
 """
 
 import math
+import time
 
 import numpy as np
+
+from moeapap import operators
+from moeapap._seeding import rng_for
+from moeapap.algorithms import RunResult
+from moeapap.algorithms.common import (
+    init_population,
+    n_donors,
+    pick_donors,
+    shuffled_pools,
+    variation_params,
+)
+from moeapap.algorithms.moead import simplex_weights, tchebycheff, tchebycheff_weights
+from moeapap.core import SolutionSet, crowding_truncate_indices, nondominated_indices
 
 
 def brute_force_nd_indices(F):
@@ -208,3 +222,108 @@ class ListArchive:
         sizes = np.array([len(groups[c]) for c in chosen])
         picks = self.rng.integers(sizes)
         return np.array([self.X[groups[c][p]] for c, p in zip(chosen, picks)])
+
+
+def sbx_both_children(x1, x2, params, bounds, U):
+    """Both SBX children on pre-drawn uniforms ``U = (crossing, spread,
+    exchange)``, each spelled out from the spread factor ``beta``."""
+    cross = U[0] < 0.5
+    r = U[1]
+    exponent = 1.0 / (1.0 + params.eta)
+    beta = np.where(r <= 0.5, (2.0 * r) ** exponent, (1.0 / (2.0 - 2.0 * r)) ** exponent)
+    c1 = 0.5 * ((1.0 + beta) * x1 + (1.0 - beta) * x2)
+    c2 = 0.5 * ((1.0 - beta) * x1 + (1.0 + beta) * x2)
+    c1 = np.where(cross, c1, x1)
+    c2 = np.where(cross, c2, x2)
+    exchange = U[2] < 0.5
+    c1, c2 = np.where(exchange, c2, c1), np.where(exchange, c1, c2)
+    return operators.clamp(c1, bounds), operators.clamp(c2, bounds)
+
+
+def pm_every_variable(x, params, bounds, U):
+    """Polynomial mutation on pre-drawn uniforms ``U = (application,
+    perturbation)``, every branch computed on every variable."""
+    lo = bounds[:, 0]
+    hi = bounds[:, 1]
+    span = hi - lo
+    apply = U[0] < params.p_m
+    r = U[1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d_up = np.where(span > 0, (hi - x) / span, 0.0)
+        d_down = np.where(span > 0, (x - lo) / span, 0.0)
+    exponent = 1.0 / (params.eta + 1.0)
+    low_branch = (2.0 * r + (1.0 - 2.0 * r) * d_up ** (params.eta + 1.0)) ** exponent - 1.0
+    high_branch = 1.0 - (2.0 * (1.0 - r) + (2.0 * r - 1.0) * d_down ** (params.eta + 1.0)) ** exponent
+    delta = np.where(r <= 0.5, low_branch, high_branch)
+    return operators.clamp(np.where(apply, x + delta * span, x), bounds)
+
+
+def moead_one_child_at_a_time(problem, config, budget, seed):
+    """MOEA/D as the plain steady-state loop: each child is made from the
+    current population, evaluated alone and offered to its pool before the
+    next subproblem mates.  It makes the engine's random draws in the same
+    order.  Returns the run's ``RunResult`` and the number of children after
+    the first generation that moved the ideal point."""
+    start = time.perf_counter()
+    rng = rng_for(seed)
+    bounds = problem.bounds
+
+    W = simplex_weights(problem.m, budget.pop_size)
+    n = W.shape[0]
+    neighbor_size = config.param("neighbor_size")
+    ps = config.param("ps")
+    n_r = config.param("n_r")
+    dist = np.linalg.norm(W[:, None, :] - W[None, :, :], axis=2)
+    neighbors = np.argsort(dist, axis=1, kind="stable")[:, :neighbor_size]
+
+    X = init_population(problem, n, rng)
+    F = problem.evaluate(X)
+    evaluations = n
+    ideal = F.min(axis=0)
+    sbx, pm, de = variation_params(config, problem.n_vars)
+
+    d = problem.n_vars
+    in_neighborhood = np.zeros((n, n), dtype=bool)
+    np.put_along_axis(in_neighborhood, neighbors, True, axis=1)
+    not_self = ~np.eye(n, dtype=bool)
+    W_t = tchebycheff_weights(W)
+    late_ideal_moves = 0
+    for generation in range(budget.max_generations):
+        pools = np.where((rng.random(n) < ps)[:, None], in_neighborhood, True)
+        if de is None:
+            mates = pick_donors(pools, 2, rng)
+            U_sbx = rng.random((3, n, d))
+            U_pm = rng.random((2, n, d))
+        else:
+            donors = pick_donors(pools & not_self, n_donors(de), rng)
+            masks = operators.de_crossover_mask((n, d), de.CR, rng)
+        orders = shuffled_pools(pools, rng)
+        pool_sizes = pools.sum(axis=1)
+        for i in range(n):
+            if de is None:
+                k1, k2 = mates[i]
+                child, _ = sbx_both_children(X[k1], X[k2], sbx, bounds, U_sbx[:, i])
+                child = pm_every_variable(child, pm, bounds, U_pm[:, i])
+            else:
+                picked = donors[i]
+                child = operators.de_apply(
+                    X[i], X[picked[0]], X[picked[1:de.p + 1]], X[picked[de.p + 1:]],
+                    de, bounds, masks[i],
+                )
+            f_child = problem.evaluate(child)
+            evaluations += 1
+            late_ideal_moves += generation > 0 and bool((f_child < ideal).any())
+            ideal = np.minimum(ideal, f_child)
+            order = orders[i, :pool_sizes[i]]
+            weights = W_t[order]
+            g_child = tchebycheff(f_child, weights, ideal)
+            g_current = tchebycheff(F[order], weights, ideal)
+            winners = order[g_child < g_current][:n_r]
+            X[winners] = child
+            F[winners] = f_child
+
+    keep = nondominated_indices(F)
+    if keep.size > budget.pop_size:
+        keep = keep[crowding_truncate_indices(F[keep], budget.pop_size)]
+    result = SolutionSet(F[keep], X[keep]).validate()
+    return RunResult(result, evaluations, time.perf_counter() - start, seed, n), late_ideal_moves

@@ -16,7 +16,12 @@ from moeapap.algorithms.mopso import _GridArchive, pbest_replaced
 from moeapap.core import ConfigurationError
 from moeapap.problems import get_problem
 
-from .oracles import ListArchive, brute_force_peel_ranks, pbest_replaced_by_rows
+from .oracles import (
+    ListArchive,
+    brute_force_peel_ranks,
+    moead_one_child_at_a_time,
+    pbest_replaced_by_rows,
+)
 
 
 def nsga2_sbx(**kw):
@@ -222,6 +227,30 @@ class TestMoead:
         r1.solution_set.validate()
         assert r1.evaluations == 20 * 7
         assert np.array_equal(r1.solution_set.decisions, r2.solution_set.decisions)
+
+    @pytest.mark.parametrize("operator,params,ps,n_r,problem,pop", [
+        ("sbx_pm", dict(eta_sbx=15, eta_pm=20), 0.9, 2, "ZDT1", 30),
+        ("sbx_pm", dict(eta_sbx=5, eta_pm=5), 0.0, 10, "WFG4", 40),
+        ("sbx_pm", dict(eta_sbx=20, eta_pm=20), 1.0, 2, "UF8", 40),
+        ("rand_p", dict(F=0.5, CR=0.9, p=1), 0.9, 2, "ZDT1", 30),
+        ("rand_p", dict(F=0.5, CR=1.0, p=1), 1.0, 10, "WFG4", 40),
+        ("rand_p", dict(F=0.7, CR=0.3, p=2), 0.0, 2, "DTLZ2", 30),
+        ("rand_p", dict(F=0.4, CR=0.9, p=2), 0.9, 10, "WFG1", 40),
+        ("current_to_rand_p", dict(F=0.5, K=0.5, CR=0.9, p=1), 1.0, 2, "WFG4", 40),
+        ("current_to_rand_p", dict(F=0.8, K=0.3, CR=0.5, p=1), 0.0, 10, "ZDT3", 30),
+    ])
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_matches_one_child_at_a_time_oracle(self, operator, params, ps, n_r, problem, pop, seed):
+        cfg = AlgorithmConfig.make("MOEAD", operator, ps=ps, n_r=n_r, neighbor_size=10, **params)
+        p = get_problem(problem)
+        budget = RunBudget(pop, 12)
+        got = run(cfg, p, budget, seed)
+        want, late_ideal_moves = moead_one_child_at_a_time(p, cfg, budget, seed)
+        assert late_ideal_moves > 0  # the scores are rebuilt after generation 1 too
+        assert got.evaluations == want.evaluations
+        assert got.pop_size_used == want.pop_size_used
+        assert np.array_equal(got.solution_set.objectives, want.solution_set.objectives)
+        assert np.array_equal(got.solution_set.decisions, want.solution_set.decisions)
 
     def test_ps_one_uses_neighborhood_only(self):
         # with ps=1 and a tiny neighborhood, far subproblems can only change

@@ -9,6 +9,8 @@ from moeapap import operators
 from moeapap._seeding import rng_for
 from moeapap.core import ContractViolationError
 
+from .oracles import pm_every_variable, sbx_both_children
+
 UNIT = np.array([[0.0, 1.0]])
 
 
@@ -306,6 +308,22 @@ class TestBatchedRows:
         _rows_like_single_calls((batched,), lambda i: (operators.de_mutation(
             target[i], base[i], pairs[0, i], pairs[1, i], params, bounds,
             _StubRng([r[i]], [forced[i]])),), self.n)
+
+    @pytest.mark.parametrize("eta", [1, 4, 30])
+    def test_sbx_and_pm_equal_full_formulas(self, eta):
+        # SBX from shared coefficients and PM computed only where applied
+        # give the bits of the formulas computed in full on every variable
+        x1, x2, cross, spread, exchange, apply, r = self._data(f"full{eta}", 7)
+        x1[0, :2] = (0.0, 1.0)  # PM at the bounds: d_up or d_down is 0
+        bounds = np.column_stack((np.full(self.d, -0.5), np.linspace(1.0, 2.0, self.d)))
+        sbx = operators.SbxParams(eta=eta)
+        got = operators.sbx_crossover(x1, x2, sbx, bounds, _StubRng([cross, spread, exchange]))
+        want = sbx_both_children(x1, x2, sbx, bounds, np.stack((cross, spread, exchange)))
+        pm = operators.PmParams(eta=eta, p_m=0.4)
+        got += (operators.polynomial_mutation(x1, pm, bounds, _StubRng([apply, r])),)
+        want += (pm_every_variable(x1, pm, bounds, np.stack((apply, r))),)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
 
     def test_de_forced_dimension_per_row(self):
         # CR=0 leaves only each row's forced variable mutated
