@@ -96,6 +96,10 @@ def load_manifest(path) -> Manifest:
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ManifestError(f"malformed manifest entry {item!r}: {exc}") from exc
+        if any(e.name == name for e in entries[:-1]):
+            # results are keyed by problem, so a second entry would merge
+            # with or overwrite the first one's runs
+            raise ManifestError(f"manifest lists problem {name} more than once")
     unavailable = tuple(str(u.get("name", u)) for u in payload.get("unavailable", ()))
     return Manifest(tuple(entries), unavailable, str(payload.get("notes", "")))
 

@@ -147,6 +147,36 @@ def test_construct_rejects_zero_searches_per_iter(tmp_path, tiny_manifest, capsy
     assert not (tmp_path / "pf.json").exists()
 
 
+def test_manifest_listing_a_problem_twice_rejected(tmp_path, capsys):
+    # zdt1 and ZDT1 are one problem; the second entry used to replace the
+    # first one's member-analysis row
+    manifest = tmp_path / "twice.json"
+    manifest.write_text(json.dumps({
+        "format": "moeapap-manifest",
+        "version": 1,
+        "problems": [
+            {"name": "zdt1", "pop_size": 8, "max_generations": 3, "seeds": [1]},
+            {"name": "DTLZ2", "pop_size": 8, "max_generations": 3, "seeds": [1]},
+            {"name": "ZDT1", "pop_size": 10, "max_generations": 2, "seeds": [2]},
+        ],
+    }))
+    pf = tmp_path / "pf.json"
+    pf.write_text(json.dumps({
+        "format": "moeapap-portfolio", "version": 1, "name": "solo",
+        "members": [{"foundation": "NSGA2", "operator": "sbx_pm",
+                     "params": {"eta_sbx": 15, "eta_pm": 20}}],
+    }))
+    rc = main([
+        "analyze-members", "--portfolio", str(pf), "--manifest", str(manifest),
+        "--out-dir", str(tmp_path / "o"),
+    ])
+    assert rc == 2
+    payload = json.loads(capsys.readouterr().err)
+    assert payload["error"] == "ManifestError"
+    assert "ZDT1" in payload["message"]
+    assert not (tmp_path / "o").exists()
+
+
 def test_compare_needs_two_portfolios(tmp_path, tiny_manifest, capsys):
     rc = main([
         "compare", "--portfolio", str(tmp_path / "one.json"),
