@@ -145,7 +145,7 @@ def run_moead(problem, config: AlgorithmConfig, budget: RunBudget, seed: int) ->
                 G = tchebycheff(F, W_t, ideal)
             order = orders[i, :pool_sizes[i]]
             g_child = tchebycheff(f_child, W_t[order], ideal)
-            won = np.flatnonzero(g_child < G[order])[:n_r]
+            won = np.nonzero(g_child < G[order])[0][:n_r]
             if won.size:
                 winners = order[won]
                 X[winners] = child

@@ -149,10 +149,11 @@ def pm_apply(x, params: PmParams, bounds, applied, r) -> np.ndarray:
     and clamped; the others are returned as they are."""
     out = np.array(x, dtype=np.float64)
     at = np.nonzero(applied)
+    if not at[-1].size:
+        return out
     v = out[at]
     r = r[at]
-    lo = bounds[at[-1], 0]
-    hi = bounds[at[-1], 1]
+    lo, hi = bounds[at[-1]].T
     span = hi - lo
     with np.errstate(divide="ignore", invalid="ignore"):
         d_up = np.where(span > 0, (hi - v) / span, 0.0)
