@@ -18,6 +18,7 @@ row, and evaluated alone.  Each subproblem's current Tchebycheff value is
 kept and recomputed only when the ideal point moves.  The results equal
 those of making and evaluating one child at a time, bit for bit.
 """
+
 from __future__ import annotations
 
 import time
