@@ -54,14 +54,13 @@ class Problem:
     n_vars: int
     bounds: np.ndarray = field(repr=False)
     _fn: Callable[[np.ndarray], np.ndarray] = field(repr=False)
+    # the bounds ``evaluate`` checks against, widened by _BOUNDS_EPS
+    _lo: np.ndarray = field(init=False, repr=False, compare=False)
+    _hi: np.ndarray = field(init=False, repr=False, compare=False)
 
-    @property
-    def lower(self) -> np.ndarray:
-        return self.bounds[:, 0]
-
-    @property
-    def upper(self) -> np.ndarray:
-        return self.bounds[:, 1]
+    def __post_init__(self):
+        object.__setattr__(self, "_lo", self.bounds[:, 0] - _BOUNDS_EPS)
+        object.__setattr__(self, "_hi", self.bounds[:, 1] + _BOUNDS_EPS)
 
     def evaluate(self, X) -> np.ndarray:
         """Evaluate one decision vector or a batch of rows."""
@@ -73,7 +72,7 @@ class Problem:
             raise ContractViolationError(
                 f"{self.name} expects {self.n_vars} variables, got {arr.shape[1]}"
             )
-        if ((arr < self.lower - _BOUNDS_EPS) | (arr > self.upper + _BOUNDS_EPS)).any():
+        if ((arr < self._lo) | (arr > self._hi)).any():
             raise ContractViolationError(f"decision vector out of bounds for {self.name}")
         F = self._fn(arr)
         return F[0] if single else F
