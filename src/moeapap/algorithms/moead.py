@@ -11,12 +11,14 @@ i + 1 mates.  It runs in batches all the same.  A generation's random draws
 and the SBX spread and PM application mask are computed up front; all n
 children are made from the population the generation starts with and
 evaluated in one call; then they are replayed in index order.  A child
-keeps its batch row when none of its parents (the SBX mates, or the DE
-target and donors) has been replaced earlier in the generation; otherwise
-it is rebuilt from the current population by the same function, on one
-row, and evaluated alone.  Each subproblem's current Tchebycheff value is
-kept and recomputed only when the ideal point moves.  The results equal
-those of making and evaluating one child at a time, bit for bit.
+keeps its row while none of its parents (the SBX mates, or the DE target
+and donors) has been replaced since the row was made.  When the replay
+reaches a child whose row is stale, that child and every later child stale
+at that point are rebuilt from the current population by the same
+function, in one batch, and evaluated in one call.  Each subproblem's
+current Tchebycheff value is kept and recomputed only when the ideal point
+moves.  The results equal those of making and evaluating one child at a
+time, bit for bit.
 """
 
 from __future__ import annotations
@@ -110,7 +112,7 @@ def run_moead(problem, config: AlgorithmConfig, budget: RunBudget, seed: int) ->
         orders = shuffled_pools(pools, rng)
         pool_sizes = pools.sum(axis=1)
 
-        def build(rows: slice) -> np.ndarray:
+        def build(rows) -> np.ndarray:
             """Children ``rows`` made from the population as it stands."""
             if de is None:
                 mates = parents[rows]
@@ -125,21 +127,29 @@ def run_moead(problem, config: AlgorithmConfig, budget: RunBudget, seed: int) ->
             )
 
         # Speculate: make and evaluate every child from the generation's
-        # starting population in one batch.  Replaying them in order keeps
-        # the loop steady-state: a child whose parents were all left alone
-        # so far equals its speculative row bit for bit (element-wise
-        # arithmetic; batch evaluation equals row evaluation), and any other
-        # child is rebuilt from the current population.
+        # starting population in one batch, then replay them in index order
+        # to keep the loop steady-state.  Population row r was last replaced
+        # at replay step replaced_at[r] (-1: not yet this generation), and
+        # child j was made from the population as it stood before step
+        # built_at[j].  A child none of whose parents was replaced since then
+        # equals the row a one-child-at-a-time loop would make, bit for bit
+        # (element-wise arithmetic; a row evaluates alike in any batch).  When
+        # the replay reaches a stale child, it and every later child stale at
+        # that point are rebuilt from the current population and evaluated
+        # in one batch.
         children = build(slice(None))
         F_children = problem.evaluate(children)
-        replaced = np.zeros(n, dtype=bool)
+        replaced_at = np.full(n, -1)
+        built_at = np.zeros(n, dtype=np.intp)
         for i in range(n):
-            if replaced[parents[i]].any():
-                child = build(slice(i, i + 1))
-                f_child = problem.evaluate(child)[0]
-                child = child[0]
-            else:
-                child, f_child = children[i], F_children[i]
+            if replaced_at[parents[i]].max() >= built_at[i]:
+                stale = replaced_at[parents[i:]].max(axis=1) >= built_at[i:]
+                rows = i + np.nonzero(stale)[0]
+                rebuilt = build(rows)
+                children[rows] = rebuilt
+                F_children[rows] = problem.evaluate(rebuilt)
+                built_at[rows] = i
+            child, f_child = children[i], F_children[i]
             evaluations += 1
             if (f_child < ideal).any():
                 ideal = np.minimum(ideal, f_child)
@@ -152,7 +162,7 @@ def run_moead(problem, config: AlgorithmConfig, budget: RunBudget, seed: int) ->
                 X[winners] = child
                 F[winners] = f_child
                 G[winners] = g_child[won]
-                replaced[winners] = True
+                replaced_at[winners] = i
 
     keep = nondominated_indices(F)
     if keep.size > budget.pop_size:

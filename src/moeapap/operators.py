@@ -14,9 +14,9 @@ each block.
 SBX, PM and DE also expose their arithmetic on pre-drawn uniforms
 (``sbx_coefficients`` with ``sbx_child``, ``pm_apply``, ``de_apply``), so
 MOEA/D can draw a generation's blocks once and make any subset of its
-children from them: all of them as one batch, or one row again after the
-population has changed.  SBX keeps one copy of the spread formula; MOEA/D
-computes only the child it keeps, NSGA-II both.
+children from them: all of them as one batch, then again the stale ones
+after the population has changed.  SBX keeps one copy of the spread
+formula; MOEA/D computes only the child it keeps, NSGA-II both.
 """
 
 from __future__ import annotations

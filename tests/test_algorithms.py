@@ -238,10 +238,17 @@ class TestMoead:
         ("rand_p", dict(F=0.4, CR=0.9, p=2), 0.9, 10, "WFG1", 40),
         ("current_to_rand_p", dict(F=0.5, K=0.5, CR=0.9, p=1), 1.0, 2, "WFG4", 40),
         ("current_to_rand_p", dict(F=0.8, K=0.3, CR=0.5, p=1), 0.0, 10, "ZDT3", 30),
+        # benchmark sizes: the perfbench MOEA/D member, a 3-objective
+        # lattice of 136 subproblems, and a configuration where most children
+        # go stale and are rebuilt in batches of many rows
+        ("rand_p", dict(F=0.5, CR=0.9, p=1, neighbor_size=20), 0.9, 2, "ZDT1", 100),
+        ("sbx_pm", dict(eta_sbx=20, eta_pm=20, neighbor_size=20), 0.9, 2, "WFG4", 150),
+        ("rand_p", dict(F=0.5, CR=0.9, p=1), 0.0, 10, "ZDT1", 100),
     ])
     @pytest.mark.parametrize("seed", [0, 5])
     def test_matches_one_child_at_a_time_oracle(self, operator, params, ps, n_r, problem, pop, seed):
-        cfg = AlgorithmConfig.make("MOEAD", operator, ps=ps, n_r=n_r, neighbor_size=10, **params)
+        params = {"neighbor_size": 10, **params}
+        cfg = AlgorithmConfig.make("MOEAD", operator, ps=ps, n_r=n_r, **params)
         p = get_problem(problem)
         budget = RunBudget(pop, 12)
         got = run(cfg, p, budget, seed)

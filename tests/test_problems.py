@@ -88,8 +88,9 @@ class TestEvaluationExamples:
 
     @pytest.mark.parametrize("name", ALL_NAMES)
     def test_batch_rows_equal_single_rows(self, name):
-        # MOEA/D evaluates a generation's children as one batch and replays
-        # some of them one row at a time; both must give the same bits
+        # MOEA/D evaluates a generation's children as one batch and re-evaluates
+        # its stale children in smaller batches of any size; every batch must
+        # give a row the bits it gets alone
         p = get_problem(name)
         for size in (1, 7, 30, 150):
             rng = rng_for("batch-rows", name, size)
