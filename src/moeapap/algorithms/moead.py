@@ -127,16 +127,13 @@ def run_moead(problem, config: AlgorithmConfig, budget: RunBudget, seed: int) ->
             )
 
         # Speculate: make and evaluate every child from the generation's
-        # starting population in one batch, then replay them in index order
-        # to keep the loop steady-state.  Population row r was last replaced
-        # at replay step replaced_at[r] (-1: not yet this generation), and
-        # child j was made from the population as it stood before step
-        # built_at[j].  A child none of whose parents was replaced since then
-        # equals the row a one-child-at-a-time loop would make, bit for bit
-        # (element-wise arithmetic; a row evaluates alike in any batch).  When
-        # the replay reaches a stale child, it and every later child stale at
-        # that point are rebuilt from the current population and evaluated
-        # in one batch.
+        # starting population in one batch, then replay them in index order.
+        # Row r was last replaced at replay step replaced_at[r] (-1: not this
+        # generation); child j was made before step built_at[j].  A child none
+        # of whose parents was replaced since equals what the one-at-a-time
+        # loop makes, bit for bit (element-wise arithmetic; a row evaluates
+        # alike in any batch).  At a stale child, it and every later stale
+        # child are rebuilt from the current population in one batch.
         children = build(slice(None))
         F_children = problem.evaluate(children)
         replaced_at = np.full(n, -1)
