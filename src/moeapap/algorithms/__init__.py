@@ -3,19 +3,25 @@
 Three engines are available: NSGA-II (with SBX+PM or any of the four DE
 mutation rows), MOEA/D (SBX+PM, rand/p, current-to-rand/p plus its mating
 and replacement parameters) and MOPSO (SMPSO-, OMOPSO- or mutation-free
-swarms with an adaptive-grid archive).  ``run`` dispatches a validated
-``AlgorithmConfig`` to the matching engine; results are bitwise
-deterministic in (config, problem, budget, seed).
+swarms with an adaptive-grid archive).  An engine only searches: it takes
+an rng and returns its final non-dominated set and the population size it
+used.  ``run`` dispatches a validated ``AlgorithmConfig`` to the matching
+engine and makes the run's ``RunResult``: it builds the rng from the seed,
+times the engine, validates the set and counts ``pop_size_used *
+(max_generations + 1)`` evaluations.  Results are bitwise deterministic in
+(config, problem, budget, seed).
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .._seeding import rng_for
 from ..core import ConfigurationError, SolutionSet
 
 NSGA2 = "NSGA2"
@@ -182,7 +188,9 @@ class RunResult:
 
 
 def run(config: AlgorithmConfig, problem, budget: RunBudget, seed: int) -> RunResult:
-    """Dispatch a configuration to its engine."""
+    """Run a configuration's engine at ``seed`` and record the run.  The
+    engine is looked up through its module on every call, so that a tracer
+    or a test can replace it."""
     if config.foundation not in FOUNDATIONS:
         raise ConfigurationError(f"unknown foundation algorithm {config.foundation!r}")
     if config.operator not in LEGAL_OPERATORS[config.foundation]:
@@ -191,8 +199,14 @@ def run(config: AlgorithmConfig, problem, budget: RunBudget, seed: int) -> RunRe
         )
     from . import moead, mopso, nsga2
 
+    start = time.perf_counter()
+    rng = rng_for(seed)
     if config.foundation == NSGA2:
-        return nsga2.run_nsga2(problem, config, budget, seed)
-    if config.foundation == MOEAD:
-        return moead.run_moead(problem, config, budget, seed)
-    return mopso.run_mopso(problem, config, budget, seed)
+        found, pop_size_used = nsga2.run_nsga2(problem, config, budget, rng)
+    elif config.foundation == MOEAD:
+        found, pop_size_used = moead.run_moead(problem, config, budget, rng)
+    else:
+        found, pop_size_used = mopso.run_mopso(problem, config, budget, rng)
+    found.validate()
+    evaluations = pop_size_used * (budget.max_generations + 1)
+    return RunResult(found, evaluations, time.perf_counter() - start, seed, pop_size_used)

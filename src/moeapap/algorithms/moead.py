@@ -23,14 +23,11 @@ time, bit for bit.
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from .. import operators
-from .._seeding import rng_for
-from ..core import ConfigurationError, SolutionSet, crowding_truncate_indices, nondominated_indices
-from . import AlgorithmConfig, RunBudget, RunResult
+from ..core import ConfigurationError, SolutionSet, nondominated_indices
+from . import AlgorithmConfig, RunBudget
 from .common import init_population, n_donors, pick_donors, shuffled_pools, variation_params
 
 _ZERO_WEIGHT = 1e-4
@@ -68,9 +65,7 @@ def tchebycheff(F: np.ndarray, weights: np.ndarray, ideal: np.ndarray) -> np.nda
     return (weights * np.abs(F - ideal)).max(axis=1)
 
 
-def run_moead(problem, config: AlgorithmConfig, budget: RunBudget, seed: int) -> RunResult:
-    start = time.perf_counter()
-    rng = rng_for(seed)
+def run_moead(problem, config: AlgorithmConfig, budget: RunBudget, rng) -> tuple[SolutionSet, int]:
     bounds = problem.bounds
 
     W = simplex_weights(problem.m, budget.pop_size)
@@ -87,7 +82,6 @@ def run_moead(problem, config: AlgorithmConfig, budget: RunBudget, seed: int) ->
 
     X = init_population(problem, n, rng)
     F = problem.evaluate(X)
-    evaluations = n
     ideal = F.min(axis=0)
     sbx, pm, de = variation_params(config, problem.n_vars)
 
@@ -147,7 +141,6 @@ def run_moead(problem, config: AlgorithmConfig, budget: RunBudget, seed: int) ->
                 F_children[rows] = problem.evaluate(rebuilt)
                 built_at[rows] = i
             child, f_child = children[i], F_children[i]
-            evaluations += 1
             if (f_child < ideal).any():
                 ideal = np.minimum(ideal, f_child)
                 G = tchebycheff(F, W_t, ideal)
@@ -161,8 +154,5 @@ def run_moead(problem, config: AlgorithmConfig, budget: RunBudget, seed: int) ->
                 G[winners] = g_child[won]
                 replaced_at[winners] = i
 
-    keep = nondominated_indices(F)
-    if keep.size > budget.pop_size:
-        keep = keep[crowding_truncate_indices(F[keep], budget.pop_size)]
-    result = SolutionSet(F[keep], X[keep]).validate()
-    return RunResult(result, evaluations, time.perf_counter() - start, seed, n)
+    keep = nondominated_indices(F)  # n <= pop_size rows, so no truncation
+    return SolutionSet(F[keep], X[keep]), n

@@ -9,14 +9,11 @@ velocity rules.
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from .. import operators
-from .._seeding import rng_for
 from ..core import ConfigurationError, SolutionSet
-from . import OMOPSO, SMPSO, AlgorithmConfig, RunBudget, RunResult
+from . import OMOPSO, SMPSO, AlgorithmConfig, RunBudget
 from .common import init_population
 
 
@@ -121,9 +118,7 @@ def pbest_replaced(F: np.ndarray, pbest_F: np.ndarray, coin: np.ndarray) -> np.n
     return (no_worse & ~no_better) | (~no_worse & ~no_better & coin)
 
 
-def run_mopso(problem, config: AlgorithmConfig, budget: RunBudget, seed: int) -> RunResult:
-    start = time.perf_counter()
-    rng = rng_for(seed)
+def run_mopso(problem, config: AlgorithmConfig, budget: RunBudget, rng) -> tuple[SolutionSet, int]:
     params = _pso_params(config)
     bounds = problem.bounds
     pop = budget.pop_size
@@ -132,7 +127,6 @@ def run_mopso(problem, config: AlgorithmConfig, budget: RunBudget, seed: int) ->
     X = init_population(problem, pop, rng)
     V = np.zeros_like(X)
     F = problem.evaluate(X)
-    evaluations = pop
 
     pbest_X = X.copy()
     pbest_F = F.copy()
@@ -150,12 +144,10 @@ def run_mopso(problem, config: AlgorithmConfig, budget: RunBudget, seed: int) ->
             particle_index=swarm, generation=gen, max_generations=gens,
         )
         F = problem.evaluate(X)
-        evaluations += pop
         moved = pbest_replaced(F, pbest_F, rng.random(pop) < 0.5)
         pbest_X[moved] = X[moved]
         pbest_F[moved] = F[moved]
         for i in range(pop):
             archive.insert(X[i], F[i])
 
-    result = archive.solution_set().validate()
-    return RunResult(result, evaluations, time.perf_counter() - start, seed, pop)
+    return archive.solution_set(), pop

@@ -8,14 +8,11 @@ with crowding truncation of the split front.
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from .. import _kernels, operators
-from .._seeding import rng_for
 from ..core import ConfigurationError, SolutionSet
-from . import SBX_PM, AlgorithmConfig, RunBudget, RunResult
+from . import SBX_PM, AlgorithmConfig, RunBudget
 from .common import (
     binary_tournament,
     crowding_by_front,
@@ -26,18 +23,15 @@ from .common import (
 )
 
 
-def run_nsga2(problem, config: AlgorithmConfig, budget: RunBudget, seed: int) -> RunResult:
-    start = time.perf_counter()
+def run_nsga2(problem, config: AlgorithmConfig, budget: RunBudget, rng) -> tuple[SolutionSet, int]:
     pop = budget.pop_size
     if config.operator == SBX_PM and pop < 4:
         raise ConfigurationError("SBX pairing needs a population of at least 4")
-    rng = rng_for(seed)
     bounds = problem.bounds
 
     X = init_population(problem, pop, rng)
     F = problem.evaluate(X)
     ranks = _kernels.nds_ranks(np.ascontiguousarray(F))
-    evaluations = pop
     sbx, pm, de = variation_params(config, problem.n_vars)
 
     for _ in range(budget.max_generations):
@@ -51,7 +45,6 @@ def run_nsga2(problem, config: AlgorithmConfig, budget: RunBudget, seed: int) ->
         else:
             children = de_offspring(X, np.nonzero(ranks == 0)[0], de, bounds, rng)
         F_children = problem.evaluate(children)
-        evaluations += pop
 
         X = np.vstack((X, children))
         F = np.vstack((F, F_children))
@@ -60,5 +53,4 @@ def run_nsga2(problem, config: AlgorithmConfig, budget: RunBudget, seed: int) ->
         F = F[keep]
 
     first = np.nonzero(ranks == 0)[0]
-    result = SolutionSet(F[first], X[first]).validate()
-    return RunResult(result, evaluations, time.perf_counter() - start, seed, pop)
+    return SolutionSet(F[first], X[first]), pop

@@ -30,14 +30,16 @@ def default_manifest(which: str) -> str:
 
 
 def _add_common(parser, with_portfolio=True):
+    """Options of every subcommand; those that run portfolios also take
+    ``--portfolio`` and write into ``--out-dir``."""
     parser.add_argument("--manifest", default=None, help="problem manifest path (JSON)")
     parser.add_argument("--seed", type=int, default=0, help="master seed")
-    parser.add_argument("--out-dir", default="results", help="output directory")
     if with_portfolio:
         parser.add_argument(
             "--portfolio", action="append", required=True,
             help="portfolio file; repeat the flag to compare several",
         )
+        parser.add_argument("--out-dir", default="results", help="output directory")
 
 
 def build_parser() -> argparse.ArgumentParser:

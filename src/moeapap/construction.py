@@ -11,11 +11,12 @@ narrow interface, so a model-based tool can replace it without touching the
 loop.
 
 One evaluator holds the constructor's state: every member run, stored
-per (config fingerprint, problem, seed), and every portfolio score.  A
-portfolio is scored through ``portfolio.output_rule``, the rule ``run_pap``
-applies, on the stored member runs; member seeds depend on the config
-fingerprint only, so stored runs stay valid as the portfolio grows and
-shrinks.
+per (config fingerprint, problem, seed) as the ``(result, ihvr, failure)``
+triple ``portfolio._run_member`` makes, and every portfolio score.  A
+portfolio is scored by passing the stored triples to
+``portfolio.output_rule``, the rule ``run_pap`` applies; member seeds depend
+on the config fingerprint only, so stored runs stay valid as the portfolio
+grows and shrinks.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import indicators, problems
+from . import problems
 from ._seeding import rng_for, seed_sequence
 from .algorithms import FOUNDATIONS, LEGAL_OPERATORS, PARAM_SCHEMAS, AlgorithmConfig, RunBudget
 from .core import ConfigurationError, ContractViolationError
@@ -177,18 +178,18 @@ class _Evaluator:
         self.failures: list[tuple[str, str, str]] = []
 
     def member_run(self, config, entry: TrainingProblem, seed: int):
-        """``(RunResult, ihvr)`` of one member run, ``(None, None)`` if it failed."""
+        """The ``_run_member`` triple ``(result, ihvr, failure)`` of one
+        member run, made once and stored."""
         key = (config.fingerprint(), entry.name, seed)
         if key in self.runs:
             self.hits += 1
             return self.runs[key]
         self.misses += 1
         problem = problems.get_problem(entry.name)
-        result, metric, failure = _run_member(config, problem, entry.budget, seed,
-                                              runner=self.runner)
+        self.runs[key] = _run_member(config, problem, entry.budget, seed, self.runner)
+        failure = self.runs[key][2]
         if failure is not None:  # scored as no improvement
             self.failures.append((config.label(), entry.name, failure))
-        self.runs[key] = (result, metric)
         return self.runs[key]
 
     def omega_problem(self, configs, entry: TrainingProblem) -> float:
@@ -201,10 +202,9 @@ class _Evaluator:
             return self._omega_memo[memo_key]
         total = 0.0
         for seed in entry.seeds:
-            results, metrics = zip(*(self.member_run(c, entry, seed) for c in configs))
-            if any(r is not None for r in results):
-                ctx = indicators.HvContext.for_problem(entry.name)
-                total += output_rule(results, metrics, entry.budget.pop_size, ctx).omega
+            runs = [self.member_run(c, entry, seed) for c in configs]
+            if any(result is not None for result, _, _ in runs):
+                total += output_rule(runs, entry.budget.pop_size, entry.name).omega
         value = total / len(entry.seeds)
         self._omega_memo[memo_key] = value
         return value

@@ -137,6 +137,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.repetitions < 1:
             raise ConfigurationError("repetitions must be at least 1")
+        if self.workers < 1:
+            raise ConfigurationError("workers must be at least 1")
         if self.variant not in VARIANTS:
             raise ConfigurationError(f"variant must be one of {VARIANTS}")
         if self.n_factor < 1:
@@ -351,7 +353,7 @@ def format_summary(table: ResultTable, cfg: ExperimentConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def compare_report(table: ResultTable, alpha: float = ALPHA) -> tuple[list[tuple], list[tuple]]:
+def compare_report(table: ResultTable) -> tuple[list[tuple], list[tuple]]:
     """Wilcoxon tests of the first algorithm (baseline) against the rest.
 
     Returns (per-problem test rows, W-D-L rows).
@@ -374,7 +376,7 @@ def compare_report(table: ResultTable, alpha: float = ALPHA) -> tuple[list[tuple
                 base_by_problem[prob] = a
                 opp_by_problem[prob] = b
                 stat, p = wilcoxon_rank_sum(a, b)
-                tests.append((baseline, opponent, prob, ind, stat, p, p < alpha))
+                tests.append((baseline, opponent, prob, ind, stat, p, p < ALPHA))
             if base_by_problem:
                 w, d, l = wdl_counts(
                     base_by_problem, opp_by_problem, larger_is_better=_LARGER_BETTER[ind]
@@ -450,6 +452,8 @@ def member_analysis(
     """Mean per-member score, members-only score and full portfolio score
     per problem, averaged over repetitions with common random numbers.  A
     failed member run scores 0 and is listed in ``failures``."""
+    if repetitions < 1:
+        raise ConfigurationError("repetitions must be at least 1")
     jobs = _jobs([(portfolio.name, portfolio)], manifest.entries, repetitions, master_seed,
                  runner)
     records = iter(_map_jobs(jobs))

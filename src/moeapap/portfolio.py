@@ -1,6 +1,12 @@
 """Portfolio runtime: run member algorithms independently, merge their
 solution sets through the Restructure rule, and return the best candidate
-set by the configured metric.
+set by ihvr.
+
+``_run_member`` is the one place a member run is made and scored: it calls
+``algorithms.run`` at the member seed and returns ``(result, ihvr,
+failure)``.  ``output_rule`` takes those triples as they are, for
+``run_pap`` and for the constructor alike.  Both score against the
+problem's own memoized ``HvContext``, looked up from its name.
 
 The output rule considers every member's set plus the restructured union,
 so the portfolio's score on a problem is the maximum over all candidates.
@@ -108,21 +114,24 @@ def member_seed(run_seed: int, config: AlgorithmConfig) -> int:
     return int(state[0])
 
 
-def output_rule(results, metrics, cap: int, ctx, failures=()) -> PapRunResult:
-    """Restructure the members' sets and pick the metric-best candidate.
+def output_rule(runs, cap: int, problem_name: str) -> PapRunResult:
+    """Restructure the members' sets and pick the ihvr-best candidate.
 
-    ``results`` holds one ``RunResult`` per member (``None`` for a failed
-    run) and ``metrics`` their ihvr values.  The successful sets are
-    restructured to at most ``cap`` rows; ties prefer the restructured set,
-    then the lowest member index.  If every member failed this raises.
+    ``runs`` holds one ``_run_member`` triple ``(result, ihvr, failure)``
+    per member; a failed run is ``(None, None, message)``.  The successful
+    sets are restructured to at most ``cap`` rows and scored against the
+    named problem's context; ties prefer the restructured set, then the
+    lowest member index.  If every member failed this raises.
     """
+    results, metrics, messages = zip(*runs)
+    failures = tuple((i, msg) for i, msg in enumerate(messages) if msg is not None)
     good_sets = [r.solution_set for r in results if r is not None]
     if not good_sets:
         raise ContractViolationError(
             "every member run failed: " + "; ".join(msg for _, msg in failures)
         )
     merged = restructure(good_sets, cap=cap)
-    restructure_metric = indicators.ihvr(merged, ctx)
+    restructure_metric = indicators.ihvr(merged, indicators.HvContext.for_problem(problem_name))
     candidates = [(restructure_metric, RESTRUCTURE, merged)] + [
         (metric, i, r.solution_set)
         for i, (r, metric) in enumerate(zip(results, metrics))
@@ -130,49 +139,37 @@ def output_rule(results, metrics, cap: int, ctx, failures=()) -> PapRunResult:
     ]
     _, chosen, output = max(candidates, key=lambda c: c[0])  # first of the best
     return PapRunResult(
-        member_results=tuple(results),
+        member_results=results,
         restructured=merged,
         output=output,
         chosen_source=chosen,
-        member_metrics=tuple(metrics),
+        member_metrics=metrics,
         restructure_metric=restructure_metric,
-        failures=tuple(failures),
+        failures=failures,
     )
 
 
-def _run_member(config, problem, budget: RunBudget, seed: int, ctx=None, runner=None):
+def _run_member(config, problem, budget: RunBudget, seed: int, runner=None):
     """``(result, ihvr, None)`` of one member run at its member seed, or
-    ``(None, None, message)`` if the engine raised.  ``ctx`` is built only
-    for a successful run; ``algorithms.run`` is looked up per call."""
+    ``(None, None, message)`` if the engine raised.  ``algorithms.run`` is
+    looked up per call."""
     run = algorithms.run if runner is None else runner
     try:
         result = run(config, problem, budget, member_seed(seed, config))
     except Exception as exc:  # noqa: BLE001 - candidate exclusion is the contract
         return None, None, f"{type(exc).__name__}: {exc}"
-    if ctx is None:
-        ctx = indicators.HvContext.for_problem(problem.name)
+    ctx = indicators.HvContext.for_problem(problem.name)
     return result, indicators.ihvr(result.solution_set, ctx), None
 
 
-def run_pap(
-    portfolio: Portfolio,
-    problem,
-    budget: RunBudget,
-    seed: int,
-    ctx: indicators.HvContext | None = None,
-    runner=None,
-) -> PapRunResult:
-    """Execute every member in turn, then apply the output rule.
+def run_pap(portfolio: Portfolio, problem, budget: RunBudget, seed: int, runner=None) -> PapRunResult:
+    """Run every member in turn, then apply the output rule.
 
-    Failed member runs are excluded from the candidates and recorded; if
-    every member fails the run errors out.  ``runner`` may replace the
-    engine dispatch, which is how synthetic member behaviors are injected in
-    tests.  Runs are parallelised across jobs by the experiment harness, not
-    here.
+    Failed member runs are excluded from the candidates and recorded in
+    ``failures``; if every member fails the run errors out.  ``runner`` may
+    replace ``algorithms.run``, which is how the budget variants and the
+    tests' synthetic members are injected.  Runs are parallelised across
+    jobs by the experiment harness, not here.
     """
-    if ctx is None:
-        ctx = indicators.HvContext.for_problem(problem.name)
-    runs = [_run_member(c, problem, budget, seed, ctx, runner) for c in portfolio.members]
-    results, metrics, messages = zip(*runs)
-    failures = [(i, msg) for i, msg in enumerate(messages) if msg is not None]
-    return output_rule(results, metrics, budget.pop_size, ctx, failures)
+    runs = [_run_member(c, problem, budget, seed, runner) for c in portfolio.members]
+    return output_rule(runs, budget.pop_size, problem.name)

@@ -89,13 +89,12 @@ def wdl_counts(
     baseline_by_problem: dict[str, list[float]],
     opponent_by_problem: dict[str, list[float]],
     larger_is_better: bool = True,
-    alpha: float = ALPHA,
 ) -> tuple[int, int, int]:
     """Win-draw-loss triple for the baseline against one opponent.
 
-    A win needs a significant two-sided test plus a better baseline mean;
-    non-significant problems are draws.  Every problem must carry both
-    samples.
+    A win needs a two-sided test significant at ``ALPHA`` plus a better
+    baseline mean; non-significant problems are draws.  Every problem must
+    carry both samples.
     """
     wins = draws = losses = 0
     for problem in sorted(baseline_by_problem):
@@ -104,7 +103,7 @@ def wdl_counts(
         a = np.asarray(baseline_by_problem[problem], dtype=np.float64)
         b = np.asarray(opponent_by_problem[problem], dtype=np.float64)
         _, p = wilcoxon_rank_sum(a, b)
-        if p >= alpha:
+        if p >= ALPHA:
             draws += 1
             continue
         better = a.mean() > b.mean() if larger_is_better else a.mean() < b.mean()

@@ -1,8 +1,11 @@
 """Engine contracts: dispatch, determinism, accounting, selection sanity."""
 
+import importlib
+
 import numpy as np
 import pytest
 
+import moeapap.algorithms
 from moeapap._kernels import nd_mask, nds_ranks
 from moeapap._seeding import rng_for
 from moeapap.algorithms import (
@@ -14,6 +17,7 @@ from moeapap.algorithms.common import binary_tournament, environmental_select, i
 from moeapap.algorithms.moead import simplex_weights, tchebycheff, tchebycheff_weights
 from moeapap.algorithms.mopso import _GridArchive, pbest_replaced
 from moeapap.core import ConfigurationError
+from moeapap.portfolio import _run_member, member_seed
 from moeapap.problems import get_problem
 
 from .oracles import (
@@ -97,6 +101,45 @@ class TestDispatcher:
             assert np.array_equal(r1.solution_set.objectives, r2.solution_set.objectives)
             assert np.array_equal(r1.solution_set.decisions, r2.solution_set.decisions)
             assert r1.evaluations == r2.evaluations
+
+    # perfbench's tracer and its desk-ga capture replace these module
+    # attributes; a function stored once (say, in a dispatch table) would
+    # bypass them
+    @pytest.mark.parametrize("module, name, make", [
+        ("nsga2", "run_nsga2", nsga2_sbx),
+        ("moead", "run_moead", moead_sbx),
+        ("mopso", "run_mopso", mopso_cfg),
+    ])
+    def test_engine_looked_up_per_call(self, monkeypatch, module, name, make):
+        engine_module = importlib.import_module(f"moeapap.algorithms.{module}")
+        engine = getattr(engine_module, name)
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return engine(*args)
+
+        monkeypatch.setattr(engine_module, name, counting)
+        budget = RunBudget(12, 3)
+        result = run(make(), get_problem("WFG4"), budget, seed=4)
+        assert len(calls) == 1
+        assert result.pop_size_used == (10 if module == "moead" else 12)  # 10-point lattice
+        assert result.evaluations == result.pop_size_used * (budget.max_generations + 1)
+
+    def test_run_member_looks_up_run_per_call(self, monkeypatch):
+        engine = moeapap.algorithms.run
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return engine(*args)
+
+        monkeypatch.setattr(moeapap.algorithms, "run", counting)
+        cfg = nsga2_sbx()
+        result, metric, failure = _run_member(cfg, get_problem("ZDT1"), RunBudget(12, 3), seed=4)
+        assert len(calls) == 1 and calls[0][3] == member_seed(4, cfg)
+        assert failure is None and 0.0 < metric
+        assert result.evaluations == 12 * 4
 
 
 class TestNsga2:

@@ -201,3 +201,54 @@ def test_workers_only_where_it_is_read(tmp_path):
     for command in ("evaluate", "compare"):
         args = parser.parse_args([command, "--portfolio", str(tmp_path / "pf.json"), "--workers", "2"])
         assert args.workers == 2
+
+
+def test_out_dir_only_where_it_is_read(tmp_path):
+    parser = build_parser()
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args([
+            "construct", "--out", str(tmp_path / "pf.json"), "--budget-per-search", "1",
+            "--out-dir", str(tmp_path / "nonexistent"),
+        ])
+    assert exc.value.code == 2
+    for command in ("evaluate", "compare", "analyze-members"):
+        args = parser.parse_args([command, "--portfolio", str(tmp_path / "pf.json"),
+                                  "--out-dir", str(tmp_path / "o")])
+        assert args.out_dir == str(tmp_path / "o")
+
+
+def _solo_portfolio(tmp_path) -> str:
+    pf = tmp_path / "pf.json"
+    pf.write_text(json.dumps({
+        "format": "moeapap-portfolio", "version": 1, "name": "solo",
+        "members": [{"foundation": "NSGA2", "operator": "sbx_pm",
+                     "params": {"eta_sbx": 15, "eta_pm": 20}}],
+    }))
+    return str(pf)
+
+
+def test_analyze_members_rejects_zero_repetitions(tmp_path, tiny_manifest, capsys):
+    rc = main([
+        "analyze-members", "--portfolio", _solo_portfolio(tmp_path), "--manifest", tiny_manifest,
+        "--repetitions", "0", "--out-dir", str(tmp_path / "o"),
+    ])
+    assert rc == 2
+    payload = json.loads(capsys.readouterr().err)
+    assert payload["error"] == "ConfigurationError"
+    assert "repetitions" in payload["message"]
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("workers", ["0", "-5"])
+@pytest.mark.parametrize("command", ["evaluate", "compare"])
+def test_experiment_rejects_workers_below_one(tmp_path, tiny_manifest, capsys, command, workers):
+    pf = _solo_portfolio(tmp_path)
+    rc = main([
+        command, "--portfolio", pf, "--portfolio", pf, "--manifest", tiny_manifest,
+        "--repetitions", "1", "--workers", workers, "--out-dir", str(tmp_path / "o"),
+    ])
+    assert rc == 2
+    payload = json.loads(capsys.readouterr().err)
+    assert payload["error"] == "ConfigurationError"
+    assert "workers" in payload["message"]
+    assert not (tmp_path / "o").exists()

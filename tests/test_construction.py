@@ -89,7 +89,7 @@ class TestMarginalContribution:
             ctx = HvContext.for_problem(entry.name)
             per_seed = []
             for seed in entry.seeds:
-                result, metric = ev.member_run(cfg, entry, seed)
+                result, metric, _ = ev.member_run(cfg, entry, seed)
                 merged = restructure([result.solution_set], entry.budget.pop_size)
                 per_seed.append(max(metric, ihvr(merged, ctx)))
             total += sum(per_seed) / len(per_seed)

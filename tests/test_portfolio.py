@@ -5,7 +5,6 @@ import pytest
 
 from moeapap.algorithms import AlgorithmConfig, RunBudget, RunResult
 from moeapap.core import ContractViolationError, SolutionSet
-from moeapap.indicators import HvContext
 from moeapap.portfolio import (
     RESTRUCTURE,
     Portfolio,
@@ -166,18 +165,14 @@ class TestRunPap:
             assert a.member_metrics[0] == b.member_metrics[0]
 
     def test_disjoint_regions_choose_restructure(self):
-        ctx = HvContext.from_front(
-            np.array([[0.0, 1.0], [0.5, 0.5], [1.0, 0.0]]),
-            np.array([[0.0, 2.0], [0.0, 2.0]]),
-        )
         a = _cfg_nsga2()
         b = _cfg_moead()
         runner = synthetic_runner({
             a.fingerprint(): [[0.0, 1.0]],
-            b.fingerprint(): [[1.0, 0.0]],
+            b.fingerprint(): [[0.5, 0.5]],
         })
         res = run_pap(Portfolio((a, b)), get_problem("ZDT1"), RunBudget(10, 1), seed=0,
-                      ctx=ctx, runner=runner)
+                      runner=runner)
         assert res.chosen_source == RESTRUCTURE
         assert res.omega > max(v for v in res.member_metrics if v is not None)
 
