@@ -14,19 +14,22 @@ import numpy as np
 _CHUNK = 256
 
 
-def _dominates(A, B):
-    # out[i, j] is True iff row A[i] dominates row B[j], built one objective
-    # column at a time so no (len(A), len(B), m) block is materialized
-    a = A[:, :1]
-    b = B[:, 0]
-    le = a <= b
-    lt = a < b
-    for k in range(1, A.shape[1]):
-        a = A[:, k:k + 1]
-        b = B[:, k]
+def weak_order(A, B):
+    # le: A <= B in every objective, ge: A >= B in every objective; built one
+    # column at a time, A and B broadcasting over their leading axes
+    a, b = A[..., 0], B[..., 0]
+    le, ge = a <= b, a >= b
+    for k in range(1, A.shape[-1]):
+        a, b = A[..., k], B[..., k]
         le &= a <= b
-        lt |= a < b
-    return le & lt
+        ge &= a >= b
+    return le, ge
+
+
+def _dominates(A, B):
+    # out[i, j] is True iff row A[i] dominates row B[j]
+    le, ge = weak_order(A[:, None], B[None])
+    return le & ~ge
 
 
 def nd_mask(F):
@@ -65,25 +68,34 @@ def nds_ranks(F):
     return ranks
 
 
-def crowding(F):
-    # NSGA-II crowding distance; boundary points get +inf, and an objective
-    # with zero range marks no boundary points and adds nothing
-    n, m = F.shape
-    if n <= 2:
-        return np.full(n, np.inf)
-    dist = np.zeros(n)
-    for k in range(m):
-        order = np.argsort(F[:, k], kind="mergesort")
-        vals = F[order, k]
+def crowding_gaps(F):
+    # (column, order, span, gaps) per objective of positive range: gaps[i] is
+    # the normalized gap between row i's neighbours in the stable order
+    # of the column, +inf at both ends
+    n = F.shape[0]
+    out = []
+    for column in F.T:
+        order = np.argsort(column, kind="stable")
+        vals = column[order]
         span = vals[-1] - vals[0]
         if span <= 0.0:
             continue
-        dist[order[0]] = np.inf
-        dist[order[-1]] = np.inf
-        interior = order[1:-1]
-        contrib = (vals[2:] - vals[:-2]) / span
-        finite = ~np.isinf(dist[interior])
-        dist[interior[finite]] += contrib[finite]
+        gaps = np.empty(n)
+        gaps[order[0]] = gaps[order[-1]] = np.inf
+        gaps[order[1:-1]] = (vals[2:] - vals[:-2]) / span
+        out.append((column, order, span, gaps))
+    return out
+
+
+def crowding(F):
+    # NSGA-II crowding distance: the sum of the objectives' gaps, so boundary
+    # points get +inf, and an objective with zero range adds nothing
+    n = F.shape[0]
+    if n <= 2:
+        return np.full(n, np.inf)
+    dist = np.zeros(n)
+    for _, _, _, gaps in crowding_gaps(F):
+        dist += gaps
     return dist
 
 

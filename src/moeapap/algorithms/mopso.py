@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .. import operators
+from .. import _kernels, operators
 from ..core import ConfigurationError, SolutionSet
 from . import OMOPSO, SMPSO, AlgorithmConfig, RunBudget
 from .common import init_population
@@ -44,12 +44,7 @@ class _GridArchive:
         if len(self):
             # no_worse[i]: member i is <= f in every objective (it dominates
             # or duplicates f); no_better[i]: member i is >= f in every one
-            F = self.F
-            no_worse = F[:, 0] <= f[0]
-            no_better = F[:, 0] >= f[0]
-            for c in range(1, F.shape[1]):
-                no_worse &= F[:, c] <= f[c]
-                no_better &= F[:, c] >= f[c]
+            no_worse, no_better = _kernels.weak_order(self.F, f)
             if no_worse.any():
                 return False
             # with no duplicate left, no_better means f dominates the member
@@ -113,8 +108,7 @@ def _pso_params(config: AlgorithmConfig) -> operators.PsoParams:
 def pbest_replaced(F: np.ndarray, pbest_F: np.ndarray, coin: np.ndarray) -> np.ndarray:
     """Rows whose new position replaces the personal best: it dominates the
     personal best, or the two are incomparable and the row's coin is set."""
-    no_worse = (F <= pbest_F).all(axis=1)
-    no_better = (F >= pbest_F).all(axis=1)
+    no_worse, no_better = _kernels.weak_order(F, pbest_F)
     return (no_worse & ~no_better) | (~no_worse & ~no_better & coin)
 
 

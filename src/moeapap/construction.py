@@ -30,7 +30,7 @@ from . import problems
 from ._seeding import rng_for, seed_sequence
 from .algorithms import FOUNDATIONS, LEGAL_OPERATORS, PARAM_SCHEMAS, AlgorithmConfig, RunBudget
 from .core import ConfigurationError, ContractViolationError
-from .portfolio import Portfolio, _run_member, output_rule
+from .portfolio import MAX_MEMBERS, Portfolio, _run_member, output_rule
 
 PORTFOLIO_FORMAT = "moeapap-portfolio"
 PORTFOLIO_VERSION = 1
@@ -311,8 +311,8 @@ def construct(
     mean training score; afterwards any member whose removal does not
     decrease the score is dropped (repeated to a fixed point).
     """
-    if k < 1:
-        raise ConfigurationError("portfolio size bound k must be at least 1")
+    if not 1 <= k <= MAX_MEMBERS:
+        raise ConfigurationError(f"portfolio size bound k must be between 1 and {MAX_MEMBERS}")
     if searches_per_iter < 1:
         raise ConfigurationError("searches_per_iter must be at least 1")
     ev = _Evaluator(Z, runner=runner)

@@ -99,24 +99,18 @@ def _drop_least_crowded(F, k: int) -> np.ndarray:
     (+inf distance) has to go; return the surviving row indices, ascending.
 
     Each objective of positive range keeps its rows in a doubly linked list
-    in (value, index) order and each row's contribution, so a removal
-    recomputes only the removed row's neighbours, summing contributions in
-    objective order as :func:`_kernels.crowding` does.  Only removing an
-    extreme changes a range; the pass then stops and the caller starts over
-    on the survivors.
+    in (value, index) order and each row's gap, both taken from
+    :func:`_kernels.crowding_gaps`, so a removal recomputes only the removed
+    row's neighbours, summing gaps in objective order as
+    :func:`_kernels.crowding` does.  An objective of zero range adds
+    nothing, and its range stays zero as rows go.  Only removing an extreme
+    changes a range; the pass then stops and the caller starts over on the
+    survivors.
     """
     n = F.shape[0]
     dist = np.zeros(n)
     objectives = []  # (span, before, after, gaps, values) per ranged objective
-    for column in F.T:
-        order = np.argsort(column, kind="stable")
-        vals = column[order]
-        span = float(vals[-1] - vals[0])
-        if span <= 0.0:
-            continue  # adds nothing, and its range stays zero as rows go
-        gaps = np.zeros(n)
-        gaps[order[0]] = gaps[order[-1]] = np.inf
-        gaps[order[1:-1]] = (vals[2:] - vals[:-2]) / span
+    for column, order, span, gaps in _kernels.crowding_gaps(F):
         dist += gaps
         ranked = order.tolist()
         before = [-1] * n
@@ -124,7 +118,7 @@ def _drop_least_crowded(F, k: int) -> np.ndarray:
         for a, b in zip(ranked, ranked[1:]):
             after[a] = b
             before[b] = a
-        objectives.append((span, before, after, gaps.tolist(), column.tolist()))
+        objectives.append((float(span), before, after, gaps.tolist(), column.tolist()))
     contributions = [objective[3] for objective in objectives]
     dist = dist.tolist()
     heap = list(zip(dist, range(n)))

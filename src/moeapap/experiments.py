@@ -27,7 +27,7 @@ from .algorithms import RunBudget
 from .construction import TrainingProblem, TrainingSet, load_portfolio
 from .core import ConfigurationError
 from .portfolio import PapRunResult, Portfolio, restructure, run_pap
-from .stats import ALPHA, wdl_counts, wilcoxon_rank_sum
+from .stats import ALPHA, wilcoxon_rank_sum
 
 MANIFEST_FORMAT = "moeapap-manifest"
 MANIFEST_VERSION = 1
@@ -143,9 +143,15 @@ class ExperimentConfig:
             raise ConfigurationError(f"variant must be one of {VARIANTS}")
         if self.n_factor < 1:
             raise ConfigurationError("variant multiplier N must be at least 1")
+        if self.variant == BASE and self.n_factor != 1:
+            raise ConfigurationError("variant multiplier N needs variant NGEN or NSIZE")
+        if not self.indicators:
+            raise ConfigurationError(f"indicators must name at least one of {ALL_INDICATORS}")
         bad = [i for i in self.indicators if i not in ALL_INDICATORS]
         if bad:
             raise ConfigurationError(f"unknown indicators {bad}")
+        if len(set(self.indicators)) < len(self.indicators):
+            raise ConfigurationError(f"indicators listed more than once: {self.indicators}")
         if self.mode not in ("evaluate", "compare"):
             raise ConfigurationError(f"mode must be 'evaluate' or 'compare', got {self.mode!r}")
         if self.mode == "compare" and len(self.portfolio_paths) < 2:
@@ -366,23 +372,29 @@ def compare_report(table: ResultTable) -> tuple[list[tuple], list[tuple]]:
     wdl = []
     for opponent in algs[1:]:
         for ind in ALL_INDICATORS:
-            base_by_problem = {}
-            opp_by_problem = {}
+            tally = [0, 0, 0]  # win, draw, loss
             for prob in table.problems():
                 a = table.values(baseline, prob, ind)
                 b = table.values(opponent, prob, ind)
                 if not a or not b:
                     continue
-                base_by_problem[prob] = a
-                opp_by_problem[prob] = b
                 stat, p = wilcoxon_rank_sum(a, b)
                 tests.append((baseline, opponent, prob, ind, stat, p, p < ALPHA))
-            if base_by_problem:
-                w, d, l = wdl_counts(
-                    base_by_problem, opp_by_problem, larger_is_better=_LARGER_BETTER[ind]
-                )
-                wdl.append((baseline, opponent, ind, w, d, l))
+                tally[_wdl_outcome(p, np.mean(a), np.mean(b), _LARGER_BETTER[ind])] += 1
+            if sum(tally):
+                wdl.append((baseline, opponent, ind, *tally))
     return tests, wdl
+
+
+def _wdl_outcome(p: float, mean_a: float, mean_b: float, larger_is_better: bool) -> int:
+    """0, 1 or 2 for a baseline win, draw or loss: a win needs a test
+    significant at ``ALPHA`` and a better baseline mean; a non-significant
+    test or equal means is a draw."""
+    if p >= ALPHA:
+        return 1
+    if mean_a > mean_b if larger_is_better else mean_a < mean_b:
+        return 0
+    return 1 if mean_a == mean_b else 2
 
 
 def write_compare_files(output_dir, tests, wdl) -> None:

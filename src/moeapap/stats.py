@@ -1,4 +1,4 @@
-"""Two-sided Wilcoxon rank-sum testing and win-draw-loss tallies.
+"""Two-sided Wilcoxon rank-sum testing.
 
 Small samples (pooled size <= 20) get an exact p-value by enumerating all
 rank assignments over the midrank-tied pooled sample; larger samples use
@@ -83,34 +83,3 @@ def wilcoxon_rank_sum(a, b) -> tuple[float, float]:
     z = (diff - correction) / math.sqrt(var)
     p = 2.0 * 0.5 * math.erfc(abs(z) / math.sqrt(2.0))
     return w, min(p, 1.0)
-
-
-def wdl_counts(
-    baseline_by_problem: dict[str, list[float]],
-    opponent_by_problem: dict[str, list[float]],
-    larger_is_better: bool = True,
-) -> tuple[int, int, int]:
-    """Win-draw-loss triple for the baseline against one opponent.
-
-    A win needs a two-sided test significant at ``ALPHA`` plus a better
-    baseline mean; non-significant problems are draws.  Every problem must
-    carry both samples.
-    """
-    wins = draws = losses = 0
-    for problem in sorted(baseline_by_problem):
-        if problem not in opponent_by_problem:
-            raise ContractViolationError(f"missing opponent sample for problem {problem}")
-        a = np.asarray(baseline_by_problem[problem], dtype=np.float64)
-        b = np.asarray(opponent_by_problem[problem], dtype=np.float64)
-        _, p = wilcoxon_rank_sum(a, b)
-        if p >= ALPHA:
-            draws += 1
-            continue
-        better = a.mean() > b.mean() if larger_is_better else a.mean() < b.mean()
-        if better:
-            wins += 1
-        elif a.mean() == b.mean():
-            draws += 1
-        else:
-            losses += 1
-    return wins, draws, losses

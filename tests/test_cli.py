@@ -252,3 +252,32 @@ def test_experiment_rejects_workers_below_one(tmp_path, tiny_manifest, capsys, c
     assert payload["error"] == "ConfigurationError"
     assert "workers" in payload["message"]
     assert not (tmp_path / "o").exists()
+
+
+def _solo_portfolio(tmp_path):
+    pf = tmp_path / "pf.json"
+    pf.write_text(json.dumps({
+        "format": "moeapap-portfolio", "version": 1, "name": "solo",
+        "members": [{"foundation": "NSGA2", "operator": "sbx_pm",
+                     "params": {"eta_sbx": 15, "eta_pm": 20}}],
+    }))
+    return str(pf)
+
+
+@pytest.mark.parametrize("extra, message", [
+    # HV,HV used to write every HV row twice; "," ran every job and wrote a
+    # header-only results.csv; N used to be ignored under BASE
+    (["--indicators", "HV,HV"], "more than once"),
+    (["--indicators", ","], "at least one"),
+    (["--variant", "BASE", "--N", "6"], "NGEN or NSIZE"),
+], ids=["repeated-indicator", "no-indicator", "base-with-N"])
+def test_evaluate_rejects_bad_experiment_options(tmp_path, tiny_manifest, capsys, extra, message):
+    rc = main([
+        "evaluate", "--portfolio", _solo_portfolio(tmp_path), "--manifest", tiny_manifest,
+        "--repetitions", "1", "--out-dir", str(tmp_path / "o"), *extra,
+    ])
+    assert rc == 2
+    payload = json.loads(capsys.readouterr().err)
+    assert payload["error"] == "ConfigurationError"
+    assert message in payload["message"]
+    assert not (tmp_path / "o").exists()

@@ -21,7 +21,14 @@ from moeapap.construction import (
 )
 from moeapap.core import ConfigurationError, ContractViolationError, SolutionSet
 from moeapap.indicators import HvContext, ihvr
-from moeapap.portfolio import RESTRUCTURE, Portfolio, member_seed, restructure, run_pap
+from moeapap.portfolio import (
+    MAX_MEMBERS,
+    RESTRUCTURE,
+    Portfolio,
+    member_seed,
+    restructure,
+    run_pap,
+)
 from moeapap.problems import get_problem
 from moeapap._seeding import rng_for
 
@@ -251,6 +258,21 @@ class TestConstruct:
         )
         assert len(pf) == 1
         assert pf.members[0] == strong
+
+    def test_k_above_member_limit_rejected_before_runs(self):
+        # a portfolio holds at most MAX_MEMBERS members, so a larger k could
+        # only fail after the whole construction had run
+        calls = []
+
+        def runner(config, problem, budget, seed):
+            calls.append(config)
+            return RunResult(SolutionSet(np.array([[0.3, 0.6]])), 0, 0.0, seed, budget.pop_size)
+
+        Z = TrainingSet((TrainingProblem("ZDT1", RunBudget(8, 1), (1,)),))
+        with pytest.raises(ConfigurationError, match="k must be between 1 and 10"):
+            construct(ConfigSpace.for_foundations("NSGA2"), Z, k=MAX_MEMBERS + 2,
+                      searches_per_iter=2, budget_per_search=2, seed=1, runner=runner)
+        assert calls == []
 
     def test_empty_training_set_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -5,6 +5,8 @@ import json
 import numpy as np
 import pytest
 
+from moeapap import experiments, stats
+
 from moeapap.algorithms import AlgorithmConfig, RunBudget, RunResult
 from moeapap.construction import save_portfolio
 from moeapap.core import ConfigurationError, SolutionSet
@@ -13,6 +15,7 @@ from moeapap.experiments import (
     Manifest,
     ManifestEntry,
     ManifestError,
+    ResultTable,
     compare_report,
     load_manifest,
     member_analysis,
@@ -272,6 +275,89 @@ class TestRunExperiment:
         )
         with pytest.raises(OSError):
             run_experiment(cfg)
+
+
+def result_table(samples):
+    """ResultTable from {(algorithm, problem, indicator): values}; the first
+    algorithm listed is the baseline."""
+    table = ResultTable()
+    for (alg, prob, ind), values in samples.items():
+        for rep, value in enumerate(values):
+            table.add_row((0, rep, alg, prob, "BASE", ind, float(value)))
+    return table
+
+
+class TestCompareReport:
+    def test_all_draws_when_identical(self):
+        vals = [1.0, 2.0, 3.0]
+        table = result_table({(alg, f"P{i}", "HV"): vals for alg in ("A", "B") for i in range(4)})
+        _, wdl = compare_report(table)
+        assert wdl == [("A", "B", "HV", 0, 4, 0)]
+
+    def test_sweep_wins(self):
+        # the same samples are a sweep of wins under HV (larger is better)
+        # and of losses under IGD (smaller is better)
+        samples = {}
+        for ind in ("HV", "IGD"):
+            for i in range(5):
+                samples["A", f"P{i}", ind] = [10.0, 11.0, 12.0, 13.0]
+                samples["B", f"P{i}", ind] = [1.0, 2.0, 3.0, 4.0]
+        _, wdl = compare_report(result_table(samples))
+        assert wdl == [("A", "B", "HV", 5, 0, 0), ("A", "B", "IGD", 0, 0, 5)]
+
+    def test_hand_tallied_mixture(self):
+        table = result_table({
+            ("A", "P1", "HV"): [10, 11, 12, 13],  # wins (larger better)
+            ("A", "P2", "HV"): [1, 2, 3, 4],      # loses
+            ("A", "P3", "HV"): [5, 6, 7, 8],      # draw vs interleaved values
+            ("B", "P1", "HV"): [1, 2, 3, 4],
+            ("B", "P2", "HV"): [10, 11, 12, 13],
+            ("B", "P3", "HV"): [5.5, 6.5, 6.9, 7.2],
+        })
+        _, wdl = compare_report(table)
+        assert wdl == [("A", "B", "HV", 1, 1, 1)]
+
+    def test_problem_missing_on_one_side_is_skipped(self):
+        table = result_table({
+            ("A", "P1", "HV"): [10, 11, 12, 13],
+            ("A", "P2", "HV"): [1, 2, 3],
+            ("B", "P1", "HV"): [1, 2, 3, 4],
+        })
+        tests, wdl = compare_report(table)
+        assert [row[2] for row in tests] == ["P1"]
+        assert wdl == [("A", "B", "HV", 1, 0, 0)]
+
+    def test_sum_invariant(self):
+        rng = np.random.default_rng(54)
+        table = result_table({
+            (alg, f"P{i}", ind): rng.random(6).tolist()
+            for ind in ("HV", "IGD", "IHVR") for alg in ("A", "B") for i in range(21)
+        })
+        tests, wdl = compare_report(table)
+        assert len(tests) == 3 * 21
+        for *_, w, d, l in wdl:
+            assert w + d + l == 21
+
+    def test_one_wilcoxon_test_per_row(self, monkeypatch):
+        # the W-D-L tally reuses each row's p-value instead of testing again
+        calls = []
+        original = stats.wilcoxon_rank_sum
+
+        def counted(a, b):
+            calls.append(1)
+            return original(a, b)
+
+        monkeypatch.setattr(stats, "wilcoxon_rank_sum", counted)
+        monkeypatch.setattr(experiments, "wilcoxon_rank_sum", counted)
+        rng = np.random.default_rng(55)
+        table = result_table({
+            (alg, f"P{i}", ind): rng.random(4).tolist()
+            for alg in ("A", "B", "C") for ind in ("HV", "IGD") for i in range(3)
+        })
+        tests, wdl = compare_report(table)
+        assert len(tests) == 2 * 2 * 3
+        assert len(calls) == len(tests)
+        assert len(wdl) == 2 * 2
 
 
 class TestMemberAnalysis:

@@ -15,6 +15,7 @@ from .oracles import (
     crowding_by_definition,
     crowding_removal_order,
     mean_min_distance,
+    pareto_relation,
     rectangle_union_area,
 )
 
@@ -26,6 +27,29 @@ def _random_sets(seed, m, sizes=(1, 2, 7, 40, 150, 300)):
         yield np.ascontiguousarray(rng.random((n, m)))
         # clustered values provoke duplicate coordinates
         yield np.ascontiguousarray(np.round(rng.random((n, m)), 1))
+
+
+# (le, ge) for each pareto_relation(a, b) outcome
+_WEAK_ORDER = {"equal": (True, True), "a": (True, False), "b": (False, True),
+               "incomparable": (False, False)}
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_weak_order(m):
+    for F in _random_sets(15, m, sizes=(1, 2, 7, 40)):
+        n = F.shape[0]
+        expected = np.array([[_WEAK_ORDER[pareto_relation(a, b)] for b in F] for a in F])
+        # all pairs
+        le, ge = _kernels.weak_order(F[:, None], F[None])
+        assert np.array_equal(np.stack((le, ge), axis=-1), expected)
+        # many rows against one row
+        for j in range(n):
+            le, ge = _kernels.weak_order(F, F[j])
+            assert np.array_equal(np.stack((le, ge), axis=-1), expected[:, j])
+        # row against row
+        le, ge = _kernels.weak_order(F, np.roll(F, 1, axis=0))
+        rows = np.arange(n)
+        assert np.array_equal(np.stack((le, ge), axis=-1), expected[rows, rows - 1])
 
 
 @pytest.mark.parametrize("m", [2, 3])

@@ -1,4 +1,4 @@
-"""Wilcoxon rank-sum against a full-permutation oracle, and W-D-L tallies."""
+"""Wilcoxon rank-sum against a full-permutation oracle."""
 
 from itertools import combinations
 
@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from moeapap.core import ContractViolationError
-from moeapap.stats import wdl_counts, wilcoxon_rank_sum
+from moeapap.stats import wilcoxon_rank_sum
 
 
 def permutation_oracle(a, b):
@@ -84,38 +84,3 @@ class TestWilcoxon:
         _, p = wilcoxon_rank_sum(a, b)
         assert 0.0 <= p <= 1.0
 
-
-class TestWdl:
-    def test_all_draws_when_identical(self):
-        vals = {f"P{i}": [1.0, 2.0, 3.0] for i in range(4)}
-        assert wdl_counts(vals, vals) == (0, 4, 0)
-
-    def test_sweep_wins(self):
-        base = {f"P{i}": [10.0, 11.0, 12.0, 13.0] for i in range(5)}
-        opp = {f"P{i}": [1.0, 2.0, 3.0, 4.0] for i in range(5)}
-        assert wdl_counts(base, opp, larger_is_better=True) == (5, 0, 0)
-        assert wdl_counts(base, opp, larger_is_better=False) == (0, 0, 5)
-
-    def test_hand_tallied_mixture(self):
-        base = {
-            "A": [10, 11, 12, 13],  # wins (larger better)
-            "B": [1, 2, 3, 4],      # loses
-            "C": [5, 6, 7, 8],      # draw vs interleaved values
-        }
-        opp = {
-            "A": [1, 2, 3, 4],
-            "B": [10, 11, 12, 13],
-            "C": [5.5, 6.5, 6.9, 7.2],
-        }
-        assert wdl_counts(base, opp) == (1, 1, 1)
-
-    def test_missing_problem_rejected(self):
-        with pytest.raises(ContractViolationError):
-            wdl_counts({"A": [1, 2, 3]}, {})
-
-    def test_sum_invariant(self):
-        rng = np.random.default_rng(54)
-        base = {f"P{i}": rng.random(6).tolist() for i in range(21)}
-        opp = {f"P{i}": rng.random(6).tolist() for i in range(21)}
-        w, d, l = wdl_counts(base, opp)
-        assert w + d + l == 21
