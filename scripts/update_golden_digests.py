@@ -1,0 +1,110 @@
+#!/usr/bin/env python3
+"""Rewrite ``tests/golden_digests.json``, the outputs that Tier-1 pins.
+
+The file holds the sha256 of the F and X bytes of one run of every engine
+x operator row (``LEGAL_OPERATORS``, 11 rows) on ZDT1 at 20x100 and on
+WFG4 at 30x20 (budgets at which every MOPSO row fills its archive and
+evicts), the digest of one ``run_pap`` of the perfbench pap3 portfolio per
+problem at the same budget, and the ``results.csv`` text of a tiny
+``evaluate`` of that portfolio on ZDT1 at 20x5, where none of its members
+is refused.  Digests depend on the numpy build, so numpy's version is
+recorded too.  ``tests/test_golden.py`` recomputes everything through
+``compute()`` and compares.  A change that alters outputs on purpose
+reruns this script in the same commit and names the changed keys:
+
+    PYTHONPATH=src python scripts/update_golden_digests.py
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import pathlib
+import sys
+import tempfile
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+
+import numpy as np  # noqa: E402
+
+from moeapap.algorithms import LEGAL_OPERATORS, PARAM_SCHEMAS, AlgorithmConfig, RunBudget, run  # noqa: E402
+from moeapap.construction import save_portfolio  # noqa: E402
+from moeapap.experiments import ExperimentConfig, run_experiment  # noqa: E402
+from moeapap.portfolio import Portfolio, run_pap  # noqa: E402
+from moeapap.problems import get_problem  # noqa: E402
+
+GOLDEN = ROOT / "tests" / "golden_digests.json"
+BUDGETS = {"ZDT1": RunBudget(20, 100), "WFG4": RunBudget(30, 20)}
+SEED = 5
+# the members of perfbench's pap3 workloads (PAP3_MEMBERS in perfbench/workloads.py)
+PAP3 = Portfolio((
+    AlgorithmConfig.make("NSGA2", "sbx_pm", eta_sbx=20, eta_pm=20),
+    AlgorithmConfig.make("MOEAD", "rand_p", F=0.5, CR=0.9, p=1, ps=0.9, n_r=2, neighbor_size=20),
+    AlgorithmConfig.make(
+        "MOPSO", "omopso", w=0.4, c1=1.5, c2=1.5, v_max=1.0, grid_divisions=10, v_change=-1.0, b=5
+    ),
+), name="pap3")
+
+
+def row_config(foundation: str, operator: str) -> AlgorithmConfig:
+    """One fixed configuration per row: the lowest integer, the midpoint of
+    a real range and the first category of every parameter."""
+    params = {}
+    for name, spec in PARAM_SCHEMAS[(foundation, operator)].items():
+        if spec[0] == "int":
+            params[name] = spec[1]
+        elif spec[0] == "float":
+            params[name] = (spec[1] + spec[2]) / 2
+        else:
+            params[name] = spec[1][0]
+    return AlgorithmConfig.make(foundation, operator, **params)
+
+
+def _digest(solution_set) -> dict:
+    return {"F": hashlib.sha256(solution_set.objectives.tobytes()).hexdigest(),
+            "X": hashlib.sha256(solution_set.decisions.tobytes()).hexdigest()}
+
+
+def _evaluate_csv() -> str:
+    with tempfile.TemporaryDirectory() as tmp:
+        work = pathlib.Path(tmp)
+        save_portfolio(PAP3, work / "pap3.json")
+        (work / "manifest.json").write_text(json.dumps({
+            "format": "moeapap-manifest", "version": 1,
+            "problems": [{"name": "ZDT1", "pop_size": 20, "max_generations": 5, "seeds": [1]}],
+        }))
+        run_experiment(ExperimentConfig(
+            mode="evaluate", portfolio_paths=(str(work / "pap3.json"),),
+            manifest_path=str(work / "manifest.json"), repetitions=2,
+            output_dir=str(work / "out"), master_seed=SEED,
+        ))
+        return (work / "out" / "results.csv").read_text()
+
+
+def compute() -> dict:
+    engines, paps = {}, {}
+    for name, budget in BUDGETS.items():
+        problem = get_problem(name)
+        for foundation, operators in LEGAL_OPERATORS.items():
+            for operator in operators:
+                result = run(row_config(foundation, operator), problem, budget, SEED)
+                engines[f"{name}/{foundation}/{operator}"] = _digest(result.solution_set)
+        paps[name] = _digest(run_pap(PAP3, problem, budget, SEED).output)
+    return {
+        "numpy": np.__version__,
+        "budgets": {name: [b.pop_size, b.max_generations] for name, b in BUDGETS.items()},
+        "seed": SEED,
+        "engines": engines,
+        "run_pap": paps,
+        "evaluate_results_csv": _evaluate_csv(),
+    }
+
+
+def main() -> None:
+    GOLDEN.write_text(json.dumps(compute(), indent=2) + "\n")
+    print(f"wrote {GOLDEN.relative_to(ROOT)}")
+
+
+if __name__ == "__main__":
+    main()

@@ -1,0 +1,32 @@
+"""Golden output digests: every engine x operator row, one ``run_pap`` per
+problem and a tiny ``evaluate`` reproduce the bytes recorded in
+``tests/golden_digests.json``.  A change that alters outputs on purpose
+rewrites the file with ``scripts/update_golden_digests.py`` in the same
+commit."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parents[1]
+_spec = importlib.util.spec_from_file_location("update_golden_digests",
+                                               ROOT / "scripts" / "update_golden_digests.py")
+golden = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(golden)
+
+
+def test_outputs_match_golden_digests():
+    recorded = json.loads(golden.GOLDEN.read_text())
+    assert recorded["numpy"] == np.__version__, (
+        f"the golden digests were recorded with numpy {recorded['numpy']}, this is numpy "
+        f"{np.__version__}; digests depend on the numpy build, so rerun "
+        "scripts/update_golden_digests.py at the parent commit under this numpy and compare"
+    )
+    current = golden.compute()
+    changed = [f"{section}/{key}" for section in ("engines", "run_pap")
+               for key in recorded[section] if recorded[section][key] != current[section].get(key)]
+    assert not changed, "outputs changed: " + ", ".join(changed)
+    assert current["evaluate_results_csv"] == recorded["evaluate_results_csv"]
+    assert current == recorded
