@@ -2,9 +2,9 @@
 
 The archive is capped at the population size and organized by an adaptive
 grid; when full, a member from the most crowded cell is evicted, and
-leaders are drawn by a roulette that favors sparse cells.  The SMPSO and
-OMOPSO rows add their respective mutation schemes on top of the shared
-velocity rules.
+leaders are drawn by a roulette that favors sparse cells.  Each generation
+enters the archive as one block, walked in index order.  SMPSO and OMOPSO
+add their mutation schemes on top of the shared velocity rules.
 """
 
 from __future__ import annotations
@@ -26,64 +26,66 @@ class _GridArchive:
         self.rng = rng
         self.X = np.empty((0, n_vars))
         self.F = np.empty((0, m))
+        self._strides = divisions ** np.arange(m - 1, -1, -1)
 
-    def __len__(self) -> int:
-        return self.F.shape[0]
+    def _cells(self, F: np.ndarray) -> np.ndarray:
+        # one integer key per row: the C-order ravel of its cell indices, so
+        # keys sort like the cells and stay below divisions**m (20**3 here);
+        # F >= lo, so the integer cast floors
+        lo = F.min(axis=0)
+        span = F.max(axis=0) - lo
+        span[span == 0] = 1.0
+        idx = ((F - lo) / span * self.divisions).astype(np.int64)
+        return np.minimum(idx, self.divisions - 1) @ self._strides
 
-    def _cells(self) -> np.ndarray:
-        # one integer key per member: the C-order ravel of its cell indices,
-        # so keys sort in the lexicographic order of the cells
-        lo = self.F.min(axis=0)
-        hi = self.F.max(axis=0)
-        span = np.where(hi > lo, hi - lo, 1.0)
-        idx = np.floor((self.F - lo) / span * self.divisions).astype(np.int64)
-        idx = np.minimum(idx, self.divisions - 1)
-        return np.ravel_multi_index(idx.T, (self.divisions,) * idx.shape[1])
+    def insert(self, X: np.ndarray, F: np.ndarray) -> int:
+        """Offer the rows of ``(X, F)`` in index order; return how many were
+        accepted.  Each pair's relation is fixed, so one comparison of the
+        block against ``[members; block]`` serves the whole walk and only
+        the presence mask changes, evictions included."""
+        n_old = len(self.F)
+        allX = np.concatenate((self.X, X))
+        allF = np.concatenate((self.F, F))
+        # covers[j, i]: block row j <= row i everywhere; covered[j, i]: row i <= j
+        covers, covered = _kernels.weak_order(F[:, None], allF[None])
+        present = np.arange(len(allF)) < n_old
+        accepted = 0
+        for j in range(len(F)):
+            if (covered[j] & present).any():
+                continue
+            # with no present duplicate left, covers means j dominates the row
+            present &= ~covers[j]
+            present[n_old + j] = True
+            accepted += 1
+            if np.count_nonzero(present) > self.capacity:
+                self._evict(present, allF)
+        self.X = allX[present]
+        self.F = allF[present]
+        return accepted
 
-    def insert(self, x: np.ndarray, f: np.ndarray) -> bool:
-        if len(self):
-            # no_worse[i]: member i is <= f in every objective (it dominates
-            # or duplicates f); no_better[i]: member i is >= f in every one
-            no_worse, no_better = _kernels.weak_order(self.F, f)
-            if no_worse.any():
-                return False
-            # with no duplicate left, no_better means f dominates the member
-            if no_better.any():
-                keep = ~no_better
-                self.X = self.X[keep]
-                self.F = self.F[keep]
-        self.X = np.vstack((self.X, x[None, :]))
-        self.F = np.vstack((self.F, f[None, :]))
-        if len(self) > self.capacity:
-            self._evict()
-        return True
-
-    def _evict(self):
-        _, inverse, counts = np.unique(self._cells(), return_inverse=True, return_counts=True)
-        crowded = int(np.argmax(counts))
-        members = np.nonzero(inverse == crowded)[0]
-        victim = int(members[self.rng.integers(members.size)])
-        keep = np.ones(len(self), dtype=bool)
-        keep[victim] = False
-        self.X = self.X[keep]
-        self.F = self.F[keep]
+    def _evict(self, present: np.ndarray, F: np.ndarray):
+        # clear one present row from the most crowded cell (the smallest key
+        # on ties), drawn uniformly among that cell's rows in archive order
+        rows = present.nonzero()[0]
+        keys = self._cells(F[rows])
+        crowded = (keys == np.bincount(keys).argmax()).nonzero()[0]
+        present[rows[crowded[self.rng.integers(crowded.size)]]] = False
 
     def select_leader(self, k: int) -> np.ndarray:
         """Draw ``k`` leaders: a roulette over grid cells weighted by
         1/count picks each leader's cell, then a member of it uniformly."""
-        if not len(self):
+        if not len(self.F):
             raise ConfigurationError("cannot select a leader from an empty archive")
-        if len(self) == 1:
+        if len(self.F) == 1:
             return np.repeat(self.X, k, axis=0)
-        _, inverse, counts = np.unique(self._cells(), return_inverse=True, return_counts=True)
+        keys = self._cells(self.F)
+        counts = np.bincount(keys)
+        counts = counts[counts > 0]
         weights = 1.0 / counts
         chosen = self.rng.choice(counts.size, size=k, p=weights / weights.sum())
-        by_cell = np.argsort(inverse, kind="stable")
+        by_cell = np.argsort(keys, kind="stable")
         first = np.cumsum(counts) - counts
         return self.X[by_cell[first[chosen] + self.rng.integers(counts[chosen])]]
-
-    def solution_set(self) -> SolutionSet:
-        return SolutionSet(self.F.copy(), self.X.copy())
 
 
 def _pso_params(config: AlgorithmConfig) -> operators.PsoParams:
@@ -126,8 +128,7 @@ def run_mopso(problem, config: AlgorithmConfig, budget: RunBudget, rng) -> tuple
     pbest_F = F.copy()
 
     archive = _GridArchive(pop, params.grid_divisions, rng, problem.n_vars, problem.m)
-    for i in range(pop):
-        archive.insert(X[i], F[i])
+    archive.insert(X, F)
 
     swarm = np.arange(pop)
     for gen in range(gens):
@@ -141,7 +142,6 @@ def run_mopso(problem, config: AlgorithmConfig, budget: RunBudget, rng) -> tuple
         moved = pbest_replaced(F, pbest_F, rng.random(pop) < 0.5)
         pbest_X[moved] = X[moved]
         pbest_F[moved] = F[moved]
-        for i in range(pop):
-            archive.insert(X[i], F[i])
+        archive.insert(X, F)
 
-    return archive.solution_set(), pop
+    return SolutionSet(archive.F, archive.X), pop

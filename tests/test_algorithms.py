@@ -363,24 +363,44 @@ class TestMopso:
 
     def test_select_leader_single_member(self):
         archive = _GridArchive(5, 4, rng_for("one"), n_vars=2, m=2)
-        archive.insert(np.array([0.3, 0.7]), np.array([1.0, 2.0]))
+        assert archive.insert(np.array([[0.3, 0.7]]), np.array([[1.0, 2.0]])) == 1
         assert np.array_equal(archive.select_leader(3), np.tile([0.3, 0.7], (3, 1)))
 
     @pytest.mark.parametrize("m", [2, 3])
     def test_archive_matches_list_reference(self, m):
         # grid-valued objectives make duplicates, dominated and dominating
-        # inserts and tied crowded cells common; capacity 8 forces evictions
+        # inserts and tied crowded cells common; capacity 8 forces evictions.
+        # The list reference takes one row at a time, the archive whole blocks
         rng = np.random.default_rng(40 + m)
         X = rng.random((400, 2))
         F = rng.integers(0, 6, size=(400, m)) / 5.0
-        archive = _GridArchive(8, 3, np.random.default_rng(7), n_vars=2, m=m)
-        reference = ListArchive(8, 3, np.random.default_rng(7))
-        for i, (x, f) in enumerate(zip(X, F)):
-            assert archive.insert(x, f) == reference.insert(x, f)
-            assert np.array_equal(archive.X, np.array(reference.X))
-            assert np.array_equal(archive.F, np.array(reference.F))
-            if i % 20 == 19:
+        for block in (1, 7, 50, 400):
+            archive = _GridArchive(8, 3, np.random.default_rng(7), n_vars=2, m=m)
+            reference = ListArchive(8, 3, np.random.default_rng(7))
+            for start in range(0, 400, block):
+                rows = range(start, min(start + block, 400))
+                accepted = sum(reference.insert(X[i], F[i]) for i in rows)
+                assert archive.insert(X[rows.start:rows.stop], F[rows.start:rows.stop]) == accepted
+                assert np.array_equal(archive.X, np.array(reference.X))
+                assert np.array_equal(archive.F, np.array(reference.F))
                 assert np.array_equal(archive.select_leader(9), reference.select_leader(9))
+
+    def test_block_insert_accepts_row_freed_by_eviction(self):
+        # under the first grid every cell is a singleton, so e's cell (the
+        # smallest key) is the crowded one: accepting a evicts e, and b, which
+        # only e dominates, must then be accepted, as in one-row-at-a-time
+        # inserts.  b moves the grid so that p and q share the crowded cell
+        e, g, p, q = [0.0, 1.0], [1.0, 0.0], [0.5, 0.3], [0.52, 0.29]
+        a, b = [0.2, 0.7], [0.1, 1.1]
+        members, block = np.array([e, g, p, q]), np.array([a, b])
+        archive = _GridArchive(4, 10, np.random.default_rng(3), n_vars=1, m=2)
+        reference = ListArchive(4, 10, np.random.default_rng(3))
+        assert archive.insert(np.arange(4.0)[:, None], members) == 4
+        assert archive.insert(np.array([[4.0], [5.0]]), block) == 2
+        assert [reference.insert([x], f) for x, f in enumerate([e, g, p, q, a, b])] == [True] * 6
+        assert np.array_equal(archive.F, np.array(reference.F))
+        assert np.array_equal(archive.X, np.array(reference.X))
+        assert (archive.F == b).all(axis=1).any() and not (archive.F == e).all(axis=1).any()
 
     def test_archive_capacity_invariant(self):
         result = run(mopso_cfg(), get_problem("ZDT1"), RunBudget(25, 40), seed=6)
