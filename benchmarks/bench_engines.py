@@ -99,8 +99,8 @@ def _machine() -> dict:
     return info
 
 
-def _git_sha() -> str:
-    where = Path(moeapap.__file__).resolve().parent
+def _git_sha(package=moeapap) -> str:
+    where = Path(package.__file__).resolve().parent
     try:
         sha = subprocess.run(["git", "-C", str(where), "rev-parse", "HEAD"],
                              capture_output=True, text=True, check=True).stdout.strip()
