@@ -23,7 +23,6 @@ machine and the git SHAs, as ``bench_engines.py`` does:
 from __future__ import annotations
 
 import argparse
-import importlib
 import importlib.util
 import json
 import sys
@@ -57,15 +56,16 @@ def _time(fns, args, repeats=REPEATS) -> list[float]:
     return best
 
 
-def _load_checkout(root: Path, name: str = "moeapap_against"):
-    """Import ``root/src/moeapap`` as package ``name``; its modules use only
-    relative imports, so they bind to that checkout's code."""
+def _load_checkout(root: Path):
+    """Import ``root/src/moeapap`` as package ``moeapap_against``; its modules
+    use only relative imports, so they bind to that checkout's code."""
     init = root / "src" / "moeapap" / "__init__.py"
-    spec = importlib.util.spec_from_file_location(name, init, submodule_search_locations=[str(init.parent)])
+    spec = importlib.util.spec_from_file_location("moeapap_against", init,
+                                                  submodule_search_locations=[str(init.parent)])
     package = importlib.util.module_from_spec(spec)
-    sys.modules[name] = package
+    sys.modules[spec.name] = package
     spec.loader.exec_module(package)
-    return package, importlib.import_module(f"{name}._kernels"), importlib.import_module(f"{name}.core")
+    return package, importlib.import_module("moeapap_against._kernels"), importlib.import_module("moeapap_against.core")
 
 
 def _inputs(name: str, n: int, rng):

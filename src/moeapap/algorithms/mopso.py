@@ -30,7 +30,7 @@ class _GridArchive:
 
     def _cells(self, F: np.ndarray) -> np.ndarray:
         # one integer key per row: the C-order ravel of its cell indices, so
-        # keys sort like the cells and stay below divisions**m (20**3 here);
+        # keys sort like the cells and stay below divisions**m <= 20**3;
         # F >= lo, so the integer cast floors
         lo = F.min(axis=0)
         span = F.max(axis=0) - lo
