@@ -7,7 +7,13 @@ WFG4 at 30x20 (budgets at which every MOPSO row fills its archive and
 evicts), the digest of one ``run_pap`` of the perfbench pap3 portfolio per
 problem at the same budget, and the ``results.csv`` text of a tiny
 ``evaluate`` of that portfolio on ZDT1 at 20x5, where none of its members
-is refused.  Digests depend on the numpy build, so numpy's version is
+is refused.  It also holds the digests of the ``portfolio.json`` bytes and
+the report text of a toy ``construct`` on ZDT1 and WFG4 at 12x10 over all
+three foundations (``--k 2``, 3 searches per iteration, so each iteration
+searches every foundation, and 2 candidates per search, so the second is a
+perturbation); at population 12 MOEA/D refuses every sampled neighbourhood
+above 12 (ZDT1) or 10 (WFG4) subproblems, and the report lists those
+refusals.  Digests depend on the numpy build, so numpy's version is
 recorded too.  ``tests/test_golden.py`` recomputes everything through
 ``compute()`` and compares.  A change that alters outputs on purpose
 reruns this script in the same commit and names the changed keys:
@@ -17,7 +23,9 @@ reruns this script in the same commit and names the changed keys:
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import pathlib
 import sys
@@ -29,6 +37,7 @@ sys.path.insert(0, str(ROOT / "src"))
 import numpy as np  # noqa: E402
 
 from moeapap.algorithms import LEGAL_OPERATORS, PARAM_SCHEMAS, AlgorithmConfig, RunBudget, run  # noqa: E402
+from moeapap.cli import main as cli_main  # noqa: E402
 from moeapap.construction import save_portfolio  # noqa: E402
 from moeapap.experiments import ExperimentConfig, run_experiment  # noqa: E402
 from moeapap.portfolio import Portfolio, run_pap  # noqa: E402
@@ -37,6 +46,7 @@ from moeapap.problems import get_problem  # noqa: E402
 GOLDEN = ROOT / "tests" / "golden_digests.json"
 BUDGETS = {"ZDT1": RunBudget(20, 100), "WFG4": RunBudget(30, 20)}
 SEED = 5
+CONSTRUCT_BUDGET = RunBudget(12, 10)
 # the members of perfbench's pap3 workloads (PAP3_MEMBERS in perfbench/workloads.py)
 PAP3 = Portfolio((
     AlgorithmConfig.make("NSGA2", "sbx_pm", eta_sbx=20, eta_pm=20),
@@ -82,6 +92,26 @@ def _evaluate_csv() -> str:
         return (work / "out" / "results.csv").read_text()
 
 
+def _construct() -> dict:
+    with tempfile.TemporaryDirectory() as tmp:
+        work = pathlib.Path(tmp)
+        (work / "manifest.json").write_text(json.dumps({
+            "format": "moeapap-manifest", "version": 1,
+            "problems": [{"name": name, "pop_size": CONSTRUCT_BUDGET.pop_size,
+                          "max_generations": CONSTRUCT_BUDGET.max_generations, "seeds": [1]}
+                         for name in BUDGETS],
+        }))
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli_main(["construct", "--manifest", str(work / "manifest.json"),
+                             "--out", str(work / "portfolio.json"), "--report", str(work / "report.txt"),
+                             "--k", "2", "--searches-per-iter", "3", "--budget-per-search", "2",
+                             "--seed", str(SEED)])
+        if code != 0:
+            raise RuntimeError(f"toy construct exited {code}")
+        return {name: hashlib.sha256((work / name).read_bytes()).hexdigest()
+                for name in ("portfolio.json", "report.txt")}
+
+
 def compute() -> dict:
     engines, paps = {}, {}
     for name, budget in BUDGETS.items():
@@ -98,6 +128,7 @@ def compute() -> dict:
         "engines": engines,
         "run_pap": paps,
         "evaluate_results_csv": _evaluate_csv(),
+        "construct": _construct(),
     }
 
 

@@ -26,7 +26,7 @@ from .core import ConfigurationError, ContractViolationError
 
 def default_manifest(which: str) -> str:
     """Path of a packaged manifest ('train' or 'test')."""
-    return str(resources.files("moeapap").joinpath("manifests", f"{which}.json"))
+    return str(resources.files(__package__).joinpath("manifests", f"{which}.json"))
 
 
 def _add_common(parser, with_portfolio=True):

@@ -90,18 +90,31 @@ def load_manifest(path) -> Manifest:
     for item in raw:
         try:
             name = problems.get_problem(item["name"]).name
-            seeds = tuple(int(s) for s in item.get("seeds", (1, 2, 3)))
-            entries.append(
-                ManifestEntry(name, int(item["pop_size"]), int(item["max_generations"]), seeds)
-            )
+            seeds = item.get("seeds", [1, 2, 3])
+            budget = (item["pop_size"], item["max_generations"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ManifestError(f"malformed manifest entry {item!r}: {exc}") from exc
-        if any(e.name == name for e in entries[:-1]):
+        # refused, not cast: int() would truncate 1.7 and true to 1 and read "12" as seeds 1, 2
+        if not (isinstance(seeds, list) and all(map(_is_int, seeds)) and all(map(_is_int, budget))):
+            raise ManifestError(
+                f"malformed manifest entry {item!r}: pop_size and max_generations must be "
+                "integers and seeds a list of integers"
+            )
+        if any(e.name == name for e in entries):
             # results are keyed by problem, so a second entry would merge
             # with or overwrite the first one's runs
             raise ManifestError(f"manifest lists problem {name} more than once")
-    unavailable = tuple(str(u.get("name", u)) for u in payload.get("unavailable", ()))
-    return Manifest(tuple(entries), unavailable, str(payload.get("notes", "")))
+        entries.append(ManifestEntry(name, *budget, tuple(seeds)))
+    unavailable = payload.get("unavailable", [])
+    if not (isinstance(unavailable, list)
+            and all(isinstance(u, dict) and isinstance(u.get("name"), str) for u in unavailable)):
+        raise ManifestError("manifest 'unavailable' must be a list of objects with a 'name' string")
+    names = tuple(u["name"] for u in unavailable)
+    return Manifest(tuple(entries), names, str(payload.get("notes", "")))
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def training_set_from_manifest(

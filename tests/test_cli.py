@@ -177,6 +177,24 @@ def test_manifest_listing_a_problem_twice_rejected(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("field, value", [("unavailable", ["MaF1"]), ("unavailable", 5),
+                                          ("seeds", "12"), ("pop_size", 8.7)])
+def test_malformed_manifest_exits_2(tmp_path, capsys, field, value):
+    # a bare string or a number under "unavailable" used to end in a
+    # traceback with exit status 1
+    entry = {"name": "ZDT1", "pop_size": 8, "max_generations": 3, "seeds": [1]}
+    payload = {"format": "moeapap-manifest", "version": 1, "problems": [entry]}
+    (payload if field == "unavailable" else entry)[field] = value
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps(payload))
+    rc = main(["construct", "--manifest", str(manifest), "--out", str(tmp_path / "pf.json"),
+               "--budget-per-search", "1"])
+    assert rc == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == "ManifestError"
+    assert not (tmp_path / "pf.json").exists()
+
+
 def test_compare_needs_two_portfolios(tmp_path, tiny_manifest, capsys):
     rc = main([
         "compare", "--portfolio", str(tmp_path / "one.json"),

@@ -105,6 +105,46 @@ class TestManifest:
         with pytest.raises(ManifestError):
             load_manifest(path)
 
+    @pytest.mark.parametrize("entry, unavailable", [
+        ({"seeds": "12"}, []),  # was read as seeds (1, 2)
+        ({"seeds": 12}, []),
+        ({"seeds": [1.7]}, []),  # floats and booleans were truncated to 1
+        ({"seeds": [True]}, []),
+        ({"pop_size": 12.0}, []),
+        ({"pop_size": "12"}, []),
+        ({"max_generations": 1.7}, []),
+        ({"max_generations": True}, []),
+        ({}, ["MaF1"]),  # raised AttributeError
+        ({}, 5),  # raised TypeError
+        ({}, [{"reason": "no name"}]),
+        ("ZDT1", []),
+    ], ids=["seeds-string", "seeds-int", "seed-float", "seed-bool", "pop-float", "pop-string",
+            "gens-float", "gens-bool", "unavailable-string", "unavailable-int",
+            "unavailable-unnamed", "entry-string"])
+    def test_malformed_values_rejected(self, tmp_path, entry, unavailable):
+        if isinstance(entry, dict):
+            entry = {"name": "ZDT1", "pop_size": 12, "max_generations": 4, "seeds": [1, 2], **entry}
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({
+            "format": "moeapap-manifest", "version": 1, "problems": [entry],
+            "unavailable": unavailable,
+        }))
+        with pytest.raises(ManifestError):
+            load_manifest(path)
+
+    def test_well_formed_values_kept(self, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({
+            "format": "moeapap-manifest", "version": 1,
+            "problems": [{"name": "zdt1", "pop_size": 12, "max_generations": 0, "seeds": [3, 1]},
+                         {"name": "DTLZ2", "pop_size": 15, "max_generations": 2}],
+            "unavailable": [{"name": "MaF1", "reason": "not implemented"}],
+        }))
+        manifest = load_manifest(path)
+        assert manifest.entries == (ManifestEntry("ZDT1", 12, 0, (3, 1)),
+                                    ManifestEntry("DTLZ2", 15, 2, (1, 2, 3)))
+        assert manifest.unavailable == ("MaF1",)
+
     def test_training_set_overrides(self):
         Z = training_set_from_manifest(small_manifest(), pop_size=6, max_generations=2,
                                        seeds=(7,))

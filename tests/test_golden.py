@@ -1,8 +1,8 @@
 """Golden output digests: every engine x operator row, one ``run_pap`` per
-problem and a tiny ``evaluate`` reproduce the bytes recorded in
-``tests/golden_digests.json``.  A change that alters outputs on purpose
-rewrites the file with ``scripts/update_golden_digests.py`` in the same
-commit."""
+problem, a tiny ``evaluate`` and a toy ``construct`` reproduce the bytes
+recorded in ``tests/golden_digests.json``.  A change that alters outputs on
+purpose rewrites the file with ``scripts/update_golden_digests.py`` in the
+same commit."""
 
 import importlib.util
 import json
@@ -25,7 +25,7 @@ def test_outputs_match_golden_digests():
         "scripts/update_golden_digests.py at the parent commit under this numpy and compare"
     )
     current = golden.compute()
-    changed = [f"{section}/{key}" for section in ("engines", "run_pap")
+    changed = [f"{section}/{key}" for section in ("engines", "run_pap", "construct")
                for key in recorded[section] if recorded[section][key] != current[section].get(key)]
     assert not changed, "outputs changed: " + ", ".join(changed)
     assert current["evaluate_results_csv"] == recorded["evaluate_results_csv"]
