@@ -310,6 +310,7 @@ def main() -> None:
         parser.error("--repeats must be at least 1")
 
     packages = [moeapap] + ([_load_checkout(args.against)] if args.against else [])
+    shas = [_git_sha(package) for package in packages]  # the code as loaded, before the rows run
     values, ratio = {}, {}
     with tempfile.TemporaryDirectory() as workdir:
         for key, make, rounds, reduce in _rows(args.repeats, Path(workdir)):
@@ -343,7 +344,7 @@ def main() -> None:
         doc["entries"].append({
             "label": args.label,
             # one item per checkout in the lists below: this one, then --against
-            "git_sha": [_git_sha(package) for package in packages],
+            "git_sha": shas,
             "machine": _machine(),
             "repeats": args.repeats,
             "kernel_calls": KERNEL_CALLS,

@@ -1,8 +1,8 @@
 """Hot numeric kernels: pairwise dominance, sorting, crowding, hypervolume, IGD.
 
 One vectorized numpy implementation per kernel.  ``tests/test_kernels.py``
-checks each against a brute-force oracle and ``benchmarks/bench_kernels.py``
-times them.
+checks each against a brute-force oracle and ``benchmarks/bench.py`` times
+them.
 
 All kernels assume minimization and float64 C-contiguous inputs.
 """

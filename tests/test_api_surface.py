@@ -69,23 +69,19 @@ def test_one_process_pool():
 
 
 def _absolute_self_references(tree):
-    """``import moeapap...``, ``from moeapap... import`` and
-    ``files("moeapap...")`` / ``import_module("moeapap...")`` in one module."""
-    def ours(name):
-        return name == "moeapap" or name.startswith("moeapap.")
-
+    """Lines of ``import moeapap...``, ``from moeapap... import`` and
+    ``files("moeapap...")`` or ``import_module("moeapap...")`` calls."""
     for node in ast.walk(tree):
+        names = []
         if isinstance(node, ast.Import):
             names = [alias.name for alias in node.names]
-        elif isinstance(node, ast.ImportFrom):
-            names = [node.module] if node.level == 0 else []
-        elif isinstance(node, ast.Call) and getattr(node.func, "attr", getattr(node.func, "id", None)) in (
-            "files", "import_module"
-        ):
-            names = [arg.value for arg in node.args[:1] if isinstance(arg, ast.Constant)]
-        else:
-            continue
-        if any(isinstance(name, str) and ours(name) for name in names):
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        elif isinstance(node, ast.Call) and node.args:
+            called = node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", "")
+            if called in ("files", "import_module"):
+                names = [getattr(node.args[0], "value", None)]
+        if any(isinstance(n, str) and (n == "moeapap" or n.startswith("moeapap.")) for n in names):
             yield node.lineno
 
 

@@ -180,8 +180,7 @@ def test_manifest_listing_a_problem_twice_rejected(tmp_path, capsys):
 @pytest.mark.parametrize("field, value", [("unavailable", ["MaF1"]), ("unavailable", 5),
                                           ("seeds", "12"), ("pop_size", 8.7)])
 def test_malformed_manifest_exits_2(tmp_path, capsys, field, value):
-    # a bare string or a number under "unavailable" used to end in a
-    # traceback with exit status 1
+    # outside input: one structured error line and status 2, not a traceback
     entry = {"name": "ZDT1", "pop_size": 8, "max_generations": 3, "seeds": [1]}
     payload = {"format": "moeapap-manifest", "version": 1, "problems": [entry]}
     (payload if field == "unavailable" else entry)[field] = value
