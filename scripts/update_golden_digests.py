@@ -4,7 +4,9 @@
 The file holds the sha256 of the F and X bytes of one run of every engine
 x operator row (``LEGAL_OPERATORS``, 11 rows) on ZDT1 at 20x100 and on
 WFG4 at 30x20 (budgets at which every MOPSO row fills its archive and
-evicts), the digest of one ``run_pap`` of the perfbench pap3 portfolio per
+evicts), the ``Problem.evaluate`` calls and rows of each MOEA/D row there
+(outputs alone do not show a replay that rebuilds more children than it
+needs to), the digest of one ``run_pap`` of the perfbench pap3 portfolio per
 problem at the same budget, and the ``results.csv`` text of a tiny
 ``evaluate`` of that portfolio on ZDT1 at 20x5, where none of its members
 is refused.  It also holds the digests of the ``portfolio.json`` bytes and
@@ -24,6 +26,7 @@ reruns this script in the same commit and names the changed keys:
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -76,6 +79,18 @@ def _digest(solution_set) -> dict:
             "X": hashlib.sha256(solution_set.decisions.tobytes()).hexdigest()}
 
 
+def _counted(problem):
+    """``problem`` whose evaluations are counted in the returned ``[calls, rows]``."""
+    counts = [0, 0]
+
+    def fn(X):
+        counts[0] += 1
+        counts[1] += len(X)
+        return problem._fn(X)
+
+    return dataclasses.replace(problem, _fn=fn), counts
+
+
 def _evaluate_csv() -> str:
     with tempfile.TemporaryDirectory() as tmp:
         work = pathlib.Path(tmp)
@@ -113,13 +128,16 @@ def _construct() -> dict:
 
 
 def compute() -> dict:
-    engines, paps = {}, {}
+    engines, moead_evaluate, paps = {}, {}, {}
     for name, budget in BUDGETS.items():
         problem = get_problem(name)
         for foundation, operators in LEGAL_OPERATORS.items():
             for operator in operators:
-                result = run(row_config(foundation, operator), problem, budget, SEED)
-                engines[f"{name}/{foundation}/{operator}"] = _digest(result.solution_set)
+                key = f"{name}/{foundation}/{operator}"
+                counted, counts = _counted(problem)
+                engines[key] = _digest(run(row_config(foundation, operator), counted, budget, SEED).solution_set)
+                if foundation == "MOEAD":
+                    moead_evaluate[key] = {"calls": counts[0], "rows": counts[1]}
         paps[name] = _digest(run_pap(PAP3, problem, budget, SEED).output)
     return {
         "numpy": np.__version__,
@@ -129,6 +147,7 @@ def compute() -> dict:
         "run_pap": paps,
         "evaluate_results_csv": _evaluate_csv(),
         "construct": _construct(),
+        "moead_evaluate": moead_evaluate,
     }
 
 

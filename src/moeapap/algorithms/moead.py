@@ -8,17 +8,16 @@ an offspring replaces at most n_r worse neighbors.
 
 The loop is steady-state: child i is offered to its pool before subproblem
 i + 1 mates.  It runs in batches all the same.  A generation's random draws
-and the SBX spread and PM application mask are computed up front; all n
-children are made from the population the generation starts with and
-evaluated in one call; then they are replayed in index order.  A child
-keeps its row while none of its parents (the SBX mates, or the DE target
-and donors) has been replaced since the row was made.  When the replay
-reaches a child whose row is stale, that child and every later child stale
-at that point are rebuilt from the current population by the same
-function, in one batch, and evaluated in one call.  Each subproblem's
-current Tchebycheff value is kept and recomputed only when the ideal point
-moves.  The results equal those of making and evaluating one child at a
-time, bit for bit.
+and the SBX spread and PM application mask are computed up front, so a child
+is a function of its parents' rows (the SBX mates, or the DE target and
+donors).  Every child starts the generation stale, and the children are
+replayed in index order.  At a stale child, that child and every later stale
+child are made from the current population by the same function, in one
+batch, and evaluated in one call; at child 0 that batch is the whole
+generation.  When an offspring replaces rows, every child those rows are a
+parent of goes stale.  Each subproblem's current Tchebycheff value is kept
+and recomputed only when the ideal point moves.  The results equal those of
+making and evaluating one child at a time, bit for bit.
 """
 
 from __future__ import annotations
@@ -120,26 +119,24 @@ def run_moead(problem, config: AlgorithmConfig, budget: RunBudget, rng) -> tuple
                 de, bounds, masks[rows],
             )
 
-        # Speculate: make and evaluate every child from the generation's
-        # starting population in one batch, then replay them in index order.
-        # Row r was last replaced at replay step replaced_at[r] (-1: not this
-        # generation); child j was made before step built_at[j].  A child none
-        # of whose parents was replaced since equals what the one-at-a-time
-        # loop makes, bit for bit (element-wise arithmetic; a row evaluates
-        # alike in any batch).  At a stale child, it and every later stale
-        # child are rebuilt from the current population in one batch.
-        children = build(slice(None))
-        F_children = problem.evaluate(children)
-        replaced_at = np.full(n, -1)
-        built_at = np.zeros(n, dtype=np.intp)
+        # Replay the children in index order.  stale[j]: child j's row is
+        # missing, or one of its parents has been replaced since it was made;
+        # uses[r, j]: row r is a parent of child j.  A fresh child equals what
+        # the one-at-a-time loop makes, bit for bit (element-wise arithmetic;
+        # a row evaluates alike in any batch).  At a stale child, it and every
+        # later stale child are built from the current population in one
+        # batch; all start stale, so the first batch is the whole generation.
+        uses = np.zeros((n, n), dtype=bool)
+        uses[parents, np.arange(n)[:, None]] = True
+        stale = np.ones(n, dtype=bool)
+        children, F_children = np.empty_like(X), np.empty_like(F)
         for i in range(n):
-            if replaced_at[parents[i]].max() >= built_at[i]:
-                stale = replaced_at[parents[i:]].max(axis=1) >= built_at[i:]
-                rows = i + np.nonzero(stale)[0]
+            if stale[i]:
+                rows = i + np.flatnonzero(stale[i:])
                 rebuilt = build(rows)
                 children[rows] = rebuilt
                 F_children[rows] = problem.evaluate(rebuilt)
-                built_at[rows] = i
+                stale[rows] = False
             child, f_child = children[i], F_children[i]
             if (f_child < ideal).any():
                 ideal = np.minimum(ideal, f_child)
@@ -152,7 +149,7 @@ def run_moead(problem, config: AlgorithmConfig, budget: RunBudget, rng) -> tuple
                 X[winners] = child
                 F[winners] = f_child
                 G[winners] = g_child[won]
-                replaced_at[winners] = i
+                stale |= uses[winners].any(axis=0)
 
     keep = nondominated_indices(F)  # n <= pop_size rows, so no truncation
     return SolutionSet(F[keep], X[keep]), n

@@ -1,14 +1,14 @@
 """Automatic greedy portfolio construction.
 
 The constructor iterates: a batch of configurator searches, each confined to
-one foundation subspace in round-robin rotation, proposes candidates scored
-by their mean marginal contribution to the portfolio over the training set;
-the best candidate is inserted unless it brings no strict improvement, and a
-simplification pass then drops members whose removal costs nothing.  The
-configurator itself is a sealed model-free search (uniform sampling
-interleaved with single-parameter perturbations of the incumbent) behind a
-narrow interface, so a model-based tool can replace it without touching the
-loop.
+one foundation subspace in a round-robin rotation that runs on across
+iterations, proposes candidates scored by their mean marginal contribution to
+the portfolio over the training set; the best candidate is inserted unless it
+brings no strict improvement, and a simplification pass then drops members
+whose removal costs nothing.  The configurator itself is a sealed model-free
+search (uniform sampling interleaved with single-parameter perturbations of
+the incumbent) behind a narrow interface, so a model-based tool can replace
+it without touching the loop.
 
 One evaluator holds the constructor's state: every member run, stored
 per (config fingerprint, problem, seed) as the ``(result, ihvr, failure)``
@@ -126,6 +126,12 @@ class ConfigSpace:
     def __post_init__(self):
         if not self.subspaces:
             raise ConfigurationError("configuration space needs at least one subspace")
+        foundations = [sub.foundation for sub in self.subspaces]
+        repeated = sorted({f for f in foundations if foundations.count(f) > 1})
+        if repeated:
+            raise ConfigurationError(
+                f"configuration space lists foundation(s) {', '.join(repeated)} more than once"
+            )
 
     @staticmethod
     def default() -> "ConfigSpace":
@@ -306,10 +312,13 @@ def construct(
 ) -> tuple[Portfolio, ConstructionReport]:
     """Greedy insertion with subspace rotation and simplification.
 
-    Search ``i`` of every iteration is confined to subspace ``i % c``.  The
-    best-scoring candidate is inserted only on strict improvement of the
-    mean training score; afterwards any member whose removal does not
-    decrease the score is dropped (repeated to a fixed point).
+    Search ``i`` (1..s, ``s = searches_per_iter``) of iteration ``t`` is
+    confined to subspace ``((t - 1) * s + i) % c`` of the ``c`` subspaces, so
+    the searches rotate across iterations and reach every subspace even when
+    ``s < c``.  The best-scoring candidate is inserted only on strict
+    improvement of the mean training score; afterwards any member whose
+    removal does not decrease the score is dropped (repeated to a fixed
+    point).
     """
     if not 1 <= k <= MAX_MEMBERS:
         raise ConfigurationError(f"portfolio size bound k must be between 1 and {MAX_MEMBERS}")
@@ -328,10 +337,11 @@ def construct(
 
     while len(members) < k and iteration < max_iterations:
         iteration += 1
+        offset = (iteration - 1) * searches_per_iter
         found = [
             configure_subspace(
                 members,
-                subspaces[i % c],
+                subspaces[(offset + i) % c],
                 ev,
                 budget_per_search,
                 seed=int(seed_sequence(seed, iteration, i).generate_state(1)[0]),
@@ -342,7 +352,8 @@ def construct(
         entry = {
             "iteration": iteration,
             "candidates": [
-                {"search": i, "subspace": i % c, "config": theta.label(), "marginal": score}
+                {"search": i, "subspace": (offset + i) % c, "config": theta.label(),
+                 "marginal": score}
                 for i, (theta, score) in enumerate(found, start=1)
             ],
             "inserted": None,

@@ -135,6 +135,20 @@ def test_construct_rejects_unknown_foundation(tmp_path, tiny_manifest, capsys):
     assert not (tmp_path / "pf.json").exists()
 
 
+def test_construct_rejects_repeated_foundation(tmp_path, tiny_manifest, capsys):
+    rc = main([
+        "construct", "--manifest", tiny_manifest, "--out", str(tmp_path / "pf.json"),
+        "--budget-per-search", "1", "--foundations", "NSGA2,MOEAD,nsga2",
+    ])
+    assert rc == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    payload = json.loads(lines[0])
+    assert payload["error"] == "ConfigurationError"
+    assert "NSGA2 more than once" in payload["message"]
+    assert not (tmp_path / "pf.json").exists()
+
+
 def test_construct_rejects_zero_searches_per_iter(tmp_path, tiny_manifest, capsys):
     rc = main([
         "construct", "--manifest", tiny_manifest, "--out", str(tmp_path / "pf.json"),

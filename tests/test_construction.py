@@ -274,6 +274,32 @@ class TestConstruct:
                       searches_per_iter=2, budget_per_search=2, seed=1, runner=runner)
         assert calls == []
 
+    def test_rotation_reaches_every_foundation_with_fewer_searches(self):
+        # 2 searches per iteration over 3 foundations: the rotation runs on
+        # across iterations (subspaces 1, 2, then 0, 1, then 2, 0), where a
+        # rotation restarted every iteration never searched subspace 0
+        searched = []
+
+        def runner(config, problem, budget, seed):
+            # every distinct configuration lands on its own point of the front
+            searched.append(config.foundation)
+            t = int(config.fingerprint(), 16) / 16 ** 16
+            return RunResult(SolutionSet(np.array([[t, 1.0 - t ** 0.5]])), 0, 0.0, seed,
+                             budget.pop_size)
+
+        Z = TrainingSet((TrainingProblem("ZDT1", RunBudget(8, 1), (1,)),))
+        pf, report = construct(ConfigSpace.default(), Z, k=3, searches_per_iter=2,
+                               budget_per_search=1, seed=3, runner=runner)
+        assert len(report.iterations) == 3
+        assert [[cand["subspace"] for cand in it["candidates"]] for it in report.iterations] == [
+            [1, 2], [0, 1], [2, 0]]
+        assert set(searched) == {"NSGA2", "MOEAD", "MOPSO"}
+
+    def test_repeated_foundation_rejected(self):
+        # a foundation listed twice would get twice the searches
+        with pytest.raises(ConfigurationError, match="NSGA2 more than once"):
+            ConfigSpace.for_foundations("NSGA2", "MOEAD", "NSGA2")
+
     def test_empty_training_set_rejected(self):
         with pytest.raises(ConfigurationError):
             TrainingSet(())
