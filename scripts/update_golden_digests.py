@@ -135,7 +135,8 @@ def compute() -> dict:
             for operator in operators:
                 key = f"{name}/{foundation}/{operator}"
                 counted, counts = _counted(problem)
-                engines[key] = _digest(run(row_config(foundation, operator), counted, budget, SEED).solution_set)
+                result = run(row_config(foundation, operator), counted, budget, SEED)
+                engines[key] = _digest(result.solution_set)
                 if foundation == "MOEAD":
                     moead_evaluate[key] = {"calls": counts[0], "rows": counts[1]}
         paps[name] = _digest(run_pap(PAP3, problem, budget, SEED).output)
