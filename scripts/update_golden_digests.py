@@ -15,8 +15,11 @@ three foundations (``--k 2``, 3 searches per iteration, so each iteration
 searches every foundation, and 2 candidates per search, so the second is a
 perturbation); at population 12 MOEA/D refuses every sampled neighbourhood
 above 12 (ZDT1) or 10 (WFG4) subproblems, and the report lists those
-refusals.  Digests depend on the numpy build, so numpy's version is
-recorded too.  ``tests/test_golden.py`` recomputes everything through
+refusals.  Finally it holds the digest of ``Problem.evaluate`` on one seeded
+batch per registered problem: 16 rows inside the bounds and 8 rows where a
+seeded half of the variables sit exactly on a bound, where the engines clamp
+and where WFG's ``_correct_to_01`` acts.  Digests depend on the numpy build,
+so numpy's version is recorded too.  ``tests/test_golden.py`` recomputes everything through
 ``compute()`` and compares.  A change that alters outputs on purpose
 reruns this script in the same commit and names the changed keys:
 
@@ -44,7 +47,7 @@ from moeapap.cli import main as cli_main  # noqa: E402
 from moeapap.construction import save_portfolio  # noqa: E402
 from moeapap.experiments import ExperimentConfig, run_experiment  # noqa: E402
 from moeapap.portfolio import Portfolio, run_pap  # noqa: E402
-from moeapap.problems import get_problem  # noqa: E402
+from moeapap.problems import available_problems, get_problem  # noqa: E402
 
 GOLDEN = ROOT / "tests" / "golden_digests.json"
 BUDGETS = {"ZDT1": RunBudget(20, 100), "WFG4": RunBudget(30, 20)}
@@ -89,6 +92,18 @@ def _counted(problem):
         return problem._fn(X)
 
     return dataclasses.replace(problem, _fn=fn), counts
+
+
+def _evaluate_digest(problem) -> str:
+    """sha256 of ``problem.evaluate`` on 16 rows inside its bounds, then 8 rows
+    with a seeded half of the variables each set exactly to its lower or upper
+    bound."""
+    rng = np.random.default_rng(SEED)
+    lo, hi = problem.bounds[:, 0], problem.bounds[:, 1]
+    X = lo + (hi - lo) * rng.random((24, problem.n_vars))
+    on_bound = rng.random((8, problem.n_vars)).argsort(axis=1) < problem.n_vars // 2
+    X[16:] = np.where(on_bound, np.where(rng.random((8, problem.n_vars)) < 0.5, lo, hi), X[16:])
+    return hashlib.sha256(problem.evaluate(X).tobytes()).hexdigest()
 
 
 def _evaluate_csv() -> str:
@@ -149,6 +164,7 @@ def compute() -> dict:
         "evaluate_results_csv": _evaluate_csv(),
         "construct": _construct(),
         "moead_evaluate": moead_evaluate,
+        "problem_evaluate": {name: _evaluate_digest(get_problem(name)) for name in available_problems()},
     }
 
 

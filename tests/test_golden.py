@@ -1,7 +1,8 @@
 """Golden output digests: every engine x operator row, one ``run_pap`` per
-problem, a tiny ``evaluate`` and a toy ``construct`` reproduce the bytes
-recorded in ``tests/golden_digests.json``, and the MOEA/D rows make the
-recorded ``Problem.evaluate`` calls and rows.  A change that alters outputs on
+problem, a tiny ``evaluate``, a toy ``construct`` and every problem's
+``Problem.evaluate`` on a seeded batch reproduce the bytes recorded in
+``tests/golden_digests.json``, and the MOEA/D rows make the recorded
+``Problem.evaluate`` calls and rows.  A change that alters outputs on
 purpose rewrites the file with ``scripts/update_golden_digests.py`` in the
 same commit."""
 
@@ -26,7 +27,8 @@ def test_outputs_match_golden_digests():
         "scripts/update_golden_digests.py at the parent commit under this numpy and compare"
     )
     current = golden.compute()
-    changed = [f"{section}/{key}" for section in ("engines", "run_pap", "construct", "moead_evaluate")
+    changed = [f"{section}/{key}" for section in ("engines", "run_pap", "construct", "moead_evaluate",
+                                                     "problem_evaluate")
                for key in recorded[section] if recorded[section][key] != current[section].get(key)]
     assert not changed, "outputs or MOEA/D evaluate counts changed: " + ", ".join(changed)
     assert current["evaluate_results_csv"] == recorded["evaluate_results_csv"]
