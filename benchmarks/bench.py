@@ -9,6 +9,9 @@ Every row is built from a package object:
   ``_GridArchive.insert`` per offered row (n noisy ZDT1-front rows fed in
   blocks of n/4 into an archive of capacity n/4, 10 grid divisions): the
   best of ``KERNEL_CALLS`` calls;
+* ``Problem.evaluate`` of ZDT1, DTLZ2, UF9, WFG4 and WFG9 on one fixed
+  batch of ``EVALUATE_ROWS`` rows inside the bounds: the best of
+  ``KERNEL_CALLS`` calls;
 * six engine configurations on ZDT1 at 100x250 and WFG4 at 150x250, and
   one ``run_pap`` of perfbench's pap3 portfolio on each, with its members'
   engine times: the median over seeds 0..repeats-1;
@@ -60,6 +63,8 @@ import workloads  # noqa: E402  perfbench's workload definitions, read only
 KERNELS = ("nd_mask", "nds_ranks", "crowding", "hv2d", "hv3d", "mean_min_dist", "count_dominated")
 SIZES = (200, 600, 1500)
 KERNEL_CALLS = 15
+EVALUATE_PROBLEMS = ("ZDT1", "DTLZ2", "UF9", "WFG4", "WFG9")
+EVALUATE_ROWS = 20
 CONFIGS = {
     "nsga2/sbx_pm": ("NSGA2", "sbx_pm", {"eta_sbx": 20, "eta_pm": 20}),
     "nsga2/rand_p": ("NSGA2", "rand_p", {"F": 0.5, "CR": 0.9, "p": 1}),
@@ -140,6 +145,18 @@ def _archive_row(X, F):
     return make
 
 
+def _evaluate_row(problem: str):
+    def make(package):
+        problem_ = _sub(package, "problems").get_problem(problem)
+        lo, hi = problem_.bounds.T
+        X = lo + (hi - lo) * np.random.default_rng(0).random((EVALUATE_ROWS, problem_.n_vars))
+
+        def call(r):
+            problem_.evaluate(X)
+        return call
+    return make
+
+
 def _engine_row(spec, problem: str, budget):
     def make(package):
         algorithms, problem_, budget_ = _run_args(package, problem, budget)
@@ -201,6 +218,7 @@ def _rows(repeats: int, workdir: Path):
     for n in SIZES:
         rows.append((f"archive.insert/{n}", _archive_row(*_front_stream(n, rng)), KERNEL_CALLS,
                      lambda times, n=n: min(times) / n))
+    rows += [(f"evaluate/{name}", _evaluate_row(name), KERNEL_CALLS, min) for name in EVALUATE_PROBLEMS]
     for problem, budget in BUDGETS.items():
         rows += [(f"{problem}/{name}", _engine_row(spec, problem, budget), repeats, statistics.median)
                  for name, spec in CONFIGS.items()]

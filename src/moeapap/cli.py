@@ -97,7 +97,7 @@ def _cmd_construct(args) -> int:
     Z = experiments.training_set_from_manifest(
         manifest, pop_size=args.pop_size, max_generations=args.max_gens, seeds=seeds
     )
-    given = args.foundations.split(",") if args.foundations else algorithms.FOUNDATIONS
+    given = algorithms.FOUNDATIONS if args.foundations is None else args.foundations.split(",")
     foundations = [f.strip().upper() for f in given if f.strip()]
     space = construction.ConfigSpace.for_foundations(*foundations)
     portfolio, report = construction.construct(

@@ -27,7 +27,7 @@ from .algorithms import RunBudget
 from .construction import TrainingProblem, TrainingSet, load_portfolio
 from .core import ConfigurationError
 from .portfolio import PapRunResult, Portfolio, restructure, run_pap
-from .stats import ALPHA, wilcoxon_rank_sum
+from .stats import ALPHA, MIN_SAMPLE, wilcoxon_rank_sum
 
 MANIFEST_FORMAT = "moeapap-manifest"
 MANIFEST_VERSION = 1
@@ -100,6 +100,10 @@ def load_manifest(path) -> Manifest:
                 f"malformed manifest entry {item!r}: pop_size and max_generations must be "
                 "integers and seeds a list of integers"
             )
+        try:
+            RunBudget(*budget)
+        except ConfigurationError as exc:
+            raise ManifestError(f"manifest entry {name}: {exc}") from exc
         if any(e.name == name for e in entries):
             # results are keyed by problem, so a second entry would merge
             # with or overwrite the first one's runs
@@ -169,6 +173,11 @@ class ExperimentConfig:
             raise ConfigurationError(f"mode must be 'evaluate' or 'compare', got {self.mode!r}")
         if self.mode == "compare" and len(self.portfolio_paths) < 2:
             raise ConfigurationError("compare needs at least two portfolios")
+        if self.mode == "compare" and self.repetitions < MIN_SAMPLE:
+            raise ConfigurationError(
+                f"compare needs at least {MIN_SAMPLE} repetitions, the smallest sample the "
+                "rank-sum test accepts"
+            )
 
 
 @dataclass

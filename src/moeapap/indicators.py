@@ -147,11 +147,14 @@ def clip_to_box(points, box) -> np.ndarray:
 
 
 def ihvr(points, ctx: HvContext) -> float:
-    """Ratio of undominated box volumes; in (0, 1] and larger is better.
+    """Ratio of undominated box volumes; positive and larger is better.
 
     Equals 1 exactly when the set attains the reference front's
-    hypervolume.  The degenerate case of a fully dominated box returns 1
-    with a diagnostic warning.
+    hypervolume ``hv_star``.  It stays at most 1 only where ``hv_star`` is
+    the true front's hypervolume: the shipped fronts of the 3-objective
+    problems fall short of it, so a set near the true front scores above 1
+    there.  The degenerate case of a fully dominated box returns 1 with a
+    diagnostic warning.
     """
     hv = hypervolume(clip_to_box(points, ctx.objective_box), ctx.reference_point)
     undominated = ctx.hv_all - hv

@@ -85,40 +85,34 @@ def _r_sum_uniform(Y):
     return _correct_to_01(Y.mean(axis=1))
 
 
-def _r_nonsep(Y, A):
-    n, m = Y.shape
+def _r_nonsep(Y):
+    n, A = Y.shape
     val = np.ceil(A / 2.0)
     num = np.zeros(n)
-    for j in range(m):
+    for j in range(A):
         num += Y[:, j]
         for s in range(A - 1):
-            num += np.abs(Y[:, j] - Y[:, (1 + j + s) % m])
-    denom = m * val * (1.0 + 2.0 * A - 2.0 * val) / A
-    return _correct_to_01(num / denom)
+            num += np.abs(Y[:, j] - Y[:, (1 + j + s) % A])
+    return _correct_to_01(num / (val * (1.0 + 2.0 * A - 2.0 * val)))
 
 
 # --- shape functions ---------------------------------------------------------
 
 
-def _shape_concave(P, j, m):
-    if j == 1:
-        return _correct_to_01(np.prod(np.sin(0.5 * np.pi * P), axis=1))
-    out = np.prod(np.sin(0.5 * np.pi * P[:, : m - j]), axis=1) if j < m else np.ones(P.shape[0])
-    return _correct_to_01(out * np.cos(0.5 * np.pi * P[:, m - j]))
-
-
-def _shape_convex(P, j, m):
-    if j == 1:
-        return _correct_to_01(np.prod(1.0 - np.cos(0.5 * np.pi * P), axis=1))
-    out = np.prod(1.0 - np.cos(0.5 * np.pi * P[:, : m - j]), axis=1) if j < m else np.ones(P.shape[0])
-    return _correct_to_01(out * (1.0 - np.sin(0.5 * np.pi * P[:, m - j])))
-
-
-def _shape_linear(P, j, m):
-    if j == 1:
-        return _correct_to_01(np.prod(P, axis=1))
-    out = np.prod(P[:, : m - j], axis=1) if j < m else np.ones(P.shape[0])
-    return _correct_to_01(out * (1.0 - P[:, m - j]))
+def _shape(P, kind):
+    """The (n, m) concave, convex or linear shape matrix of the m-1 position
+    columns ``P``: column 0 is the product of every coordinate map ``a``,
+    column j the product of the first m-1-j maps times ``b`` of coordinate
+    m-1-j."""
+    if kind == "concave":
+        a, b = np.sin(0.5 * np.pi * P), np.cos(0.5 * np.pi * P)
+    elif kind == "convex":
+        a, b = 1.0 - np.cos(0.5 * np.pi * P), 1.0 - np.sin(0.5 * np.pi * P)
+    else:
+        a, b = P, 1.0 - P
+    # front[:, i] is the product of the first i maps, multiplied left to right
+    front = np.cumprod(np.column_stack((np.ones(len(P)), a)), axis=1)
+    return _correct_to_01(np.column_stack((front[:, -1], front[:, -2::-1] * b[:, ::-1])))
 
 
 def _shape_mixed(t1, alpha=1.0, A=5.0):
@@ -133,50 +127,29 @@ def _shape_disconnected(t1, alpha=1.0, beta=1.0, A=5.0):
 # --- shared pipeline pieces --------------------------------------------------
 
 
-def _degenerate_flags(index: int, m: int) -> np.ndarray:
-    A = np.ones(m - 1)
+def _post(T: np.ndarray, index: int) -> np.ndarray:
+    # the m-1 position values, pulled towards 0.5 by the distance value T[:, -1]
+    # except on WFG3's degenerate front, where only the first one is
+    A = np.ones(T.shape[1] - 1)
     if index == 3:
         A[1:] = 0.0
-    return A
+    return np.maximum(T[:, -1:], A) * (T[:, :-1] - 0.5) + 0.5
 
 
-def _post(T: np.ndarray, A: np.ndarray) -> np.ndarray:
-    cols = [np.maximum(T[:, -1], A[i]) * (T[:, i] - 0.5) + 0.5 for i in range(T.shape[1] - 1)]
-    cols.append(T[:, -1])
+def _groups(Y: np.ndarray, m: int, k: int, reduce) -> np.ndarray:
+    # m-1 position groups of k/(m-1) columns each, then the distance columns
+    gap = k // (m - 1)
+    cols = [reduce(Y[:, i * gap: (i + 1) * gap]) for i in range(m - 1)]
+    cols.append(reduce(Y[:, k:]))
     return np.column_stack(cols)
 
 
-def _assemble(P: np.ndarray, H: list[np.ndarray], m: int) -> np.ndarray:
-    S = np.arange(2, 2 * m + 1, 2, dtype=np.float64)
-    return P[:, -1][:, None] + S * np.column_stack(H)
-
-
-def _weighted_groups(Y: np.ndarray, m: int, k: int, tail_uniform: bool, n_vars: int) -> np.ndarray:
+def _weighted_groups(Y: np.ndarray, m: int, k: int) -> np.ndarray:
     # WFG1's weighted sums with w_j = 2j; other problems use uniform weights
-    w = np.arange(2, 2 * n_vars + 1, 2, dtype=np.float64)
+    w = np.arange(2, 2 * Y.shape[1] + 1, 2, dtype=np.float64)
     gap = k // (m - 1)
-    cols = []
-    for i in range(1, m):
-        sl = slice((i - 1) * gap, i * gap)
-        cols.append(_r_sum(Y[:, sl], w[sl]))
-    if tail_uniform:
-        cols.append(_r_sum_uniform(Y[:, k:]))
-    else:
-        cols.append(_r_sum(Y[:, k:n_vars], w[k:n_vars]))
-    return np.column_stack(cols)
-
-
-def _uniform_groups(Y: np.ndarray, m: int, k: int) -> np.ndarray:
-    gap = k // (m - 1)
-    cols = [_r_sum_uniform(Y[:, (i - 1) * gap: i * gap]) for i in range(1, m)]
-    cols.append(_r_sum_uniform(Y[:, k:]))
-    return np.column_stack(cols)
-
-
-def _nonsep_groups(Y: np.ndarray, m: int, k: int) -> np.ndarray:
-    gap = k // (m - 1)
-    cols = [_r_nonsep(Y[:, (i - 1) * gap: i * gap], gap) for i in range(1, m)]
-    cols.append(_r_nonsep(Y[:, k:], Y.shape[1] - k))
+    cols = [_r_sum(Y[:, i * gap: (i + 1) * gap], w[i * gap: (i + 1) * gap]) for i in range(m - 1)]
+    cols.append(_r_sum(Y[:, k:], w[k:]))
     return np.column_stack(cols)
 
 
@@ -185,7 +158,7 @@ def _pairwise_tail(Y: np.ndarray, k: int) -> np.ndarray:
     l = Y.shape[1] - k
     cols = [Y[:, i] for i in range(k)]
     for i in range(l // 2):
-        cols.append(_r_nonsep(Y[:, k + 2 * i: k + 2 * i + 2], 2))
+        cols.append(_r_nonsep(Y[:, k + 2 * i: k + 2 * i + 2]))
     return np.column_stack(cols)
 
 
@@ -197,68 +170,50 @@ def wfg_evaluate(index: int, X: np.ndarray, m: int, k: int) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     n = X.shape[1]
     Y = X / upper_bounds(n)
-    A = _degenerate_flags(index, m)
 
+    # each problem's transformations end in its m group values T; WFG4-9
+    # share the concave front, WFG1-3 pick their own shape
+    kind = "concave"
     if index == 1:
-        Y[:, k:] = _s_linear(Y[:, k:])
-        Y[:, k:] = _b_flat(Y[:, k:], 0.8, 0.75, 0.85)
-        Y = _b_poly(Y, 0.02)
-        T = _weighted_groups(Y, m, k, tail_uniform=False, n_vars=n)
-        P = _post(T, A)
-        H = [_shape_convex(P[:, :-1], j, m) for j in range(1, m)]
-        H.append(_shape_mixed(P[:, 0]))
+        Y[:, k:] = _b_flat(_s_linear(Y[:, k:]), 0.8, 0.75, 0.85)
+        T = _weighted_groups(_b_poly(Y, 0.02), m, k)
+        kind = "convex"
     elif index in (2, 3):
         Y[:, k:] = _s_linear(Y[:, k:])
-        Y = _pairwise_tail(Y, k)
-        T = _uniform_groups(Y, m, k)
-        P = _post(T, A)
-        if index == 2:
-            H = [_shape_convex(P[:, :-1], j, m) for j in range(1, m)]
-            H.append(_shape_disconnected(P[:, 0]))
-        else:
-            H = [_shape_linear(P[:, :-1], j, m) for j in range(1, m + 1)]
+        T = _groups(_pairwise_tail(Y, k), m, k, _r_sum_uniform)
+        kind = "convex" if index == 2 else "linear"
     elif index == 4:
-        Y = _s_multi(Y, 30.0, 10.0, 0.35)
-        T = _uniform_groups(Y, m, k)
-        P = _post(T, A)
-        H = [_shape_concave(P[:, :-1], j, m) for j in range(1, m + 1)]
+        T = _groups(_s_multi(Y, 30.0, 10.0, 0.35), m, k, _r_sum_uniform)
     elif index == 5:
-        Y = _s_decept(Y)
-        T = _uniform_groups(Y, m, k)
-        P = _post(T, A)
-        H = [_shape_concave(P[:, :-1], j, m) for j in range(1, m + 1)]
+        T = _groups(_s_decept(Y), m, k, _r_sum_uniform)
     elif index == 6:
         Y[:, k:] = _s_linear(Y[:, k:])
-        T = _nonsep_groups(Y, m, k)
-        P = _post(T, A)
-        H = [_shape_concave(P[:, :-1], j, m) for j in range(1, m + 1)]
+        T = _groups(Y, m, k, _r_nonsep)
     elif index == 7:
         for i in range(k):
             Y[:, i] = _b_param(Y[:, i], _r_sum_uniform(Y[:, i + 1:]))
         Y[:, k:] = _s_linear(Y[:, k:])
-        T = _uniform_groups(Y, m, k)
-        P = _post(T, A)
-        H = [_shape_concave(P[:, :-1], j, m) for j in range(1, m + 1)]
+        T = _groups(Y, m, k, _r_sum_uniform)
     elif index == 8:
         cols = [_b_param(Y[:, i], _r_sum_uniform(Y[:, :i])) for i in range(k, n)]
-        Y[:, k:] = np.column_stack(cols)
-        Y[:, k:] = _s_linear(Y[:, k:])
-        T = _uniform_groups(Y, m, k)
-        P = _post(T, A)
-        H = [_shape_concave(P[:, :-1], j, m) for j in range(1, m + 1)]
+        Y[:, k:] = _s_linear(np.column_stack(cols))
+        T = _groups(Y, m, k, _r_sum_uniform)
     elif index == 9:
         cols = [_b_param(Y[:, i], _r_sum_uniform(Y[:, i + 1:])) for i in range(n - 1)]
         Y[:, : n - 1] = np.column_stack(cols)
-        head = [_s_decept(Y[:, i]) for i in range(k)]
-        tail = [_s_multi(Y[:, i], 30.0, 95.0, 0.35) for i in range(k, n)]
-        Y = np.column_stack(head + tail)
-        T = _nonsep_groups(Y, m, k)
-        P = _post(T, A)
-        H = [_shape_concave(P[:, :-1], j, m) for j in range(1, m + 1)]
+        Y[:, :k] = _s_decept(Y[:, :k])
+        Y[:, k:] = _s_multi(Y[:, k:], 30.0, 95.0, 0.35)
+        T = _groups(Y, m, k, _r_nonsep)
     else:
         raise ValueError(f"unknown WFG index {index}")
 
-    return _assemble(P, H, m)
+    P = _post(T, index)
+    H = _shape(P, kind)
+    if index == 1:
+        H[:, -1] = _shape_mixed(P[:, 0])
+    elif index == 2:
+        H[:, -1] = _shape_disconnected(P[:, 0])
+    return T[:, -1:] + np.arange(2, 2 * m + 1, 2, dtype=np.float64) * H
 
 
 # --- Pareto-optimal decision construction ------------------------------------

@@ -16,6 +16,8 @@ from .core import ContractViolationError
 
 EXACT_LIMIT = 20
 ALPHA = 0.05
+# the smallest sample ``wilcoxon_rank_sum`` accepts
+MIN_SAMPLE = 3
 
 
 def _midranks(pooled: np.ndarray) -> np.ndarray:
@@ -58,8 +60,8 @@ def wilcoxon_rank_sum(a, b) -> tuple[float, float]:
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    if a.size < 3 or b.size < 3:
-        raise ContractViolationError("both samples need at least 3 observations")
+    if a.size < MIN_SAMPLE or b.size < MIN_SAMPLE:
+        raise ContractViolationError(f"both samples need at least {MIN_SAMPLE} observations")
     pooled = np.concatenate((a, b))
     ranks = _midranks(pooled)
     w = float(ranks[: a.size].sum())

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import moeapap.algorithms
 from moeapap.cli import build_parser, main
 from moeapap.construction import load_portfolio
 
@@ -21,6 +22,20 @@ def tiny_manifest(tmp_path):
     path = tmp_path / "manifest.json"
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+@pytest.fixture()
+def engine_runs(monkeypatch):
+    """The argument tuples of every engine run made through ``algorithms.run``."""
+    engine = moeapap.algorithms.run
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return engine(*args)
+
+    monkeypatch.setattr(moeapap.algorithms, "run", counting)
+    return calls
 
 
 def test_construct_then_evaluate_then_compare(tmp_path, tiny_manifest, capsys):
@@ -285,16 +300,6 @@ def test_experiment_rejects_workers_below_one(tmp_path, tiny_manifest, capsys, c
     assert not (tmp_path / "o").exists()
 
 
-def _solo_portfolio(tmp_path):
-    pf = tmp_path / "pf.json"
-    pf.write_text(json.dumps({
-        "format": "moeapap-portfolio", "version": 1, "name": "solo",
-        "members": [{"foundation": "NSGA2", "operator": "sbx_pm",
-                     "params": {"eta_sbx": 15, "eta_pm": 20}}],
-    }))
-    return str(pf)
-
-
 @pytest.mark.parametrize("extra, message", [
     # HV,HV used to write every HV row twice; "," ran every job and wrote a
     # header-only results.csv; N used to be ignored under BASE
@@ -312,3 +317,55 @@ def test_evaluate_rejects_bad_experiment_options(tmp_path, tiny_manifest, capsys
     assert payload["error"] == "ConfigurationError"
     assert message in payload["message"]
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("field, value", [("pop_size", 0), ("max_generations", -1)])
+def test_manifest_budget_checked_before_any_run(tmp_path, capsys, engine_runs, field, value):
+    # the bad budget is in the second entry: checked per job, it let the
+    # first entry's jobs run before the exit
+    second = {"name": "DTLZ2", "pop_size": 8, "max_generations": 3, "seeds": [1]}
+    second[field] = value
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps({"format": "moeapap-manifest", "version": 1, "problems": [
+        {"name": "ZDT1", "pop_size": 8, "max_generations": 3, "seeds": [1]}, second,
+    ]}))
+    rc = main([
+        "evaluate", "--portfolio", _solo_portfolio(tmp_path), "--manifest", str(manifest),
+        "--repetitions", "2", "--out-dir", str(tmp_path / "o"),
+    ])
+    assert rc == 2
+    payload = json.loads(capsys.readouterr().err)
+    assert payload["error"] == "ManifestError"
+    assert "DTLZ2" in payload["message"]
+    assert not engine_runs
+    assert not (tmp_path / "o").exists()
+
+
+def test_compare_needs_three_repetitions(tmp_path, tiny_manifest, capsys, engine_runs):
+    # the rank-sum test refuses samples under 3, which used to surface only
+    # after every job had run and every output file was written
+    pf = _solo_portfolio(tmp_path)
+    rc = main([
+        "compare", "--portfolio", pf, "--portfolio", pf, "--manifest", tiny_manifest,
+        "--repetitions", "2", "--out-dir", str(tmp_path / "o"),
+    ])
+    assert rc == 2
+    payload = json.loads(capsys.readouterr().err)
+    assert payload["error"] == "ConfigurationError"
+    assert "at least 3 repetitions" in payload["message"]
+    assert not engine_runs
+    assert not (tmp_path / "o").exists()
+
+
+def test_construct_rejects_empty_foundations(tmp_path, tiny_manifest, capsys, engine_runs):
+    # an empty list is refused like "," is, not read as "not given"
+    rc = main([
+        "construct", "--manifest", tiny_manifest, "--out", str(tmp_path / "pf.json"),
+        "--budget-per-search", "1", "--foundations", "",
+    ])
+    assert rc == 2
+    payload = json.loads(capsys.readouterr().err)
+    assert payload["error"] == "ConfigurationError"
+    assert "at least one subspace" in payload["message"]
+    assert not engine_runs
+    assert not (tmp_path / "pf.json").exists()
