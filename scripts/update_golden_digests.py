@@ -17,10 +17,10 @@ perturbation); at population 12 MOEA/D refuses every sampled neighbourhood
 above 12 (ZDT1) or 10 (WFG4) subproblems, and the report lists those
 refusals.  Finally it holds the digest of ``Problem.evaluate`` on one seeded
 batch per registered problem: 16 rows inside the bounds and 8 rows where a
-seeded half of the variables sit exactly on a bound, where the engines clamp
-and where WFG's ``_correct_to_01`` acts.  Digests depend on the numpy build,
-so numpy's version is recorded too.  ``tests/test_golden.py`` recomputes everything through
-``compute()`` and compares.  A change that alters outputs on purpose
+seeded half of the variables sit exactly on a bound, where the engines
+clamp.  Digests depend on the numpy build, so numpy's version is recorded
+too.  ``tests/test_golden.py`` recomputes everything through ``compute()``
+and compares.  A change that alters outputs on purpose
 reruns this script in the same commit and names the changed keys:
 
     PYTHONPATH=src python scripts/update_golden_digests.py
