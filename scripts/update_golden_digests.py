@@ -9,7 +9,10 @@ evicts), the ``Problem.evaluate`` calls and rows of each MOEA/D row there
 needs to), the digest of one ``run_pap`` of the perfbench pap3 portfolio per
 problem at the same budget, and the ``results.csv`` text of a tiny
 ``evaluate`` of that portfolio on ZDT1 at 20x5, where none of its members
-is refused.  It also holds the digests of the ``portfolio.json`` bytes and
+is refused, and the digests of ``results.csv``, ``wilcoxon.csv`` and
+``wdl.csv`` of a ``compare`` of that portfolio against its three members as
+single-member portfolios (ZDT1 at 20x10, WFG4 at 30x10, 3 repetitions), in
+which the portfolios share every member run.  It also holds the digests of the ``portfolio.json`` bytes and
 the report text of a toy ``construct`` on ZDT1 and WFG4 at 12x10 over all
 three foundations (``--k 2``, 3 searches per iteration, so each iteration
 searches every foundation, and 2 candidates per search, so the second is a
@@ -18,7 +21,10 @@ above 12 (ZDT1) or 10 (WFG4) subproblems, and the report lists those
 refusals.  Finally it holds the digest of ``Problem.evaluate`` on one seeded
 batch per registered problem: 16 rows inside the bounds and 8 rows where a
 seeded half of the variables sit exactly on a bound, where the engines
-clamp.  Digests depend on the numpy build, so numpy's version is recorded
+clamp, and of ``Problem.evaluate`` of every WFG problem on 24 rows with the
+distance variables at their optimum (0.35 times the upper bound on WFG1-7),
+where WFG1's ``_b_flat`` lands a hair below 0 and its ``_correct_to_01``
+acts.  Digests depend on the numpy build, so numpy's version is recorded
 too.  ``tests/test_golden.py`` recomputes everything through ``compute()``
 and compares.  A change that alters outputs on purpose
 reruns this script in the same commit and names the changed keys:
@@ -47,12 +53,13 @@ from moeapap.cli import main as cli_main  # noqa: E402
 from moeapap.construction import save_portfolio  # noqa: E402
 from moeapap.experiments import ExperimentConfig, run_experiment  # noqa: E402
 from moeapap.portfolio import Portfolio, run_pap  # noqa: E402
-from moeapap.problems import available_problems, get_problem  # noqa: E402
+from moeapap.problems import available_problems, get_problem, wfg  # noqa: E402
 
 GOLDEN = ROOT / "tests" / "golden_digests.json"
 BUDGETS = {"ZDT1": RunBudget(20, 100), "WFG4": RunBudget(30, 20)}
 SEED = 5
 CONSTRUCT_BUDGET = RunBudget(12, 10)
+COMPARE_BUDGETS = {"ZDT1": RunBudget(20, 10), "WFG4": RunBudget(30, 10)}
 # the members of perfbench's pap3 workloads (PAP3_MEMBERS in perfbench/workloads.py)
 PAP3 = Portfolio((
     AlgorithmConfig.make("NSGA2", "sbx_pm", eta_sbx=20, eta_pm=20),
@@ -106,14 +113,31 @@ def _evaluate_digest(problem) -> str:
     return hashlib.sha256(problem.evaluate(X).tobytes()).hexdigest()
 
 
+def _optimum_digest(index: int) -> str:
+    """sha256 of ``WFG<index>``'s ``Problem.evaluate`` on 24 Pareto-optimal
+    rows: 16 seeded position vectors, then 8 with a seeded half of the
+    position variables on a bound."""
+    rng = np.random.default_rng(SEED)
+    K = rng.random((24, 4))
+    on_bound = rng.random((8, 4)).argsort(axis=1) < 2
+    K[16:] = np.where(on_bound, (rng.random((8, 4)) < 0.5).astype(float), K[16:])
+    X = wfg.wfg_optimal_decisions(index, K, k=4, l=8)
+    return hashlib.sha256(get_problem(f"WFG{index}").evaluate(X).tobytes()).hexdigest()
+
+
+def _write_manifest(path, budgets) -> None:
+    path.write_text(json.dumps({
+        "format": "moeapap-manifest", "version": 1,
+        "problems": [{"name": name, "pop_size": b.pop_size, "max_generations": b.max_generations,
+                      "seeds": [1]} for name, b in budgets.items()],
+    }))
+
+
 def _evaluate_csv() -> str:
     with tempfile.TemporaryDirectory() as tmp:
         work = pathlib.Path(tmp)
         save_portfolio(PAP3, work / "pap3.json")
-        (work / "manifest.json").write_text(json.dumps({
-            "format": "moeapap-manifest", "version": 1,
-            "problems": [{"name": "ZDT1", "pop_size": 20, "max_generations": 5, "seeds": [1]}],
-        }))
+        _write_manifest(work / "manifest.json", {"ZDT1": RunBudget(20, 5)})
         run_experiment(ExperimentConfig(
             mode="evaluate", portfolio_paths=(str(work / "pap3.json"),),
             manifest_path=str(work / "manifest.json"), repetitions=2,
@@ -125,12 +149,7 @@ def _evaluate_csv() -> str:
 def _construct() -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         work = pathlib.Path(tmp)
-        (work / "manifest.json").write_text(json.dumps({
-            "format": "moeapap-manifest", "version": 1,
-            "problems": [{"name": name, "pop_size": CONSTRUCT_BUDGET.pop_size,
-                          "max_generations": CONSTRUCT_BUDGET.max_generations, "seeds": [1]}
-                         for name in BUDGETS],
-        }))
+        _write_manifest(work / "manifest.json", dict.fromkeys(BUDGETS, CONSTRUCT_BUDGET))
         with contextlib.redirect_stdout(io.StringIO()):
             code = cli_main(["construct", "--manifest", str(work / "manifest.json"),
                              "--out", str(work / "portfolio.json"), "--report", str(work / "report.txt"),
@@ -140,6 +159,30 @@ def _construct() -> dict:
             raise RuntimeError(f"toy construct exited {code}")
         return {name: hashlib.sha256((work / name).read_bytes()).hexdigest()
                 for name in ("portfolio.json", "report.txt")}
+
+
+def compare_pap3(work: pathlib.Path) -> None:
+    """``compare`` of PAP3 (the baseline) against each of its members as a
+    single-member portfolio, written into ``work/out``."""
+    args = ["compare", "--manifest", str(work / "manifest.json"), "--repetitions", "3",
+            "--seed", str(SEED), "--out-dir", str(work / "out")]
+    solos = [Portfolio((m,), name=f"{m.foundation.lower()}-solo") for m in PAP3.members]
+    for portfolio in (PAP3, *solos):
+        save_portfolio(portfolio, work / f"{portfolio.name}.json")
+        args += ["--portfolio", str(work / f"{portfolio.name}.json")]
+    _write_manifest(work / "manifest.json", COMPARE_BUDGETS)
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli_main(args)
+    if code != 0:
+        raise RuntimeError(f"pap3 compare exited {code}")
+
+
+def _compare() -> dict:
+    with tempfile.TemporaryDirectory() as tmp:
+        work = pathlib.Path(tmp)
+        compare_pap3(work)
+        return {name: hashlib.sha256((work / "out" / name).read_bytes()).hexdigest()
+                for name in ("results.csv", "wilcoxon.csv", "wdl.csv")}
 
 
 def compute() -> dict:
@@ -165,6 +208,8 @@ def compute() -> dict:
         "construct": _construct(),
         "moead_evaluate": moead_evaluate,
         "problem_evaluate": {name: _evaluate_digest(get_problem(name)) for name in available_problems()},
+        "compare": _compare(),
+        "wfg_optimum": {f"WFG{i}": _optimum_digest(i) for i in range(1, 10)},
     }
 
 
