@@ -68,7 +68,7 @@ class TestManifest:
     def test_shipped_manifests_load(self):
         train = load_manifest(default_manifest("train"))
         test = load_manifest(default_manifest("test"))
-        assert len(train.entries) == 16 and len(test.entries) == 16
+        assert len(train.entries) == 16 and len(test.entries) == 15
         assert len(train.unavailable) == 5 and len(test.unavailable) == 5
         train_names = {e.name for e in train.entries}
         test_names = {e.name for e in test.entries}
