@@ -156,6 +156,8 @@ def _weighted_groups(Y: np.ndarray, m: int, k: int) -> np.ndarray:
 def _pairwise_tail(Y: np.ndarray, k: int) -> np.ndarray:
     # WFG2/WFG3: couple the distance parameters two at a time
     l = Y.shape[1] - k
+    if l % 2:
+        raise ValueError(f"WFG2 and WFG3 need an even number of distance parameters, got l = {l}")
     cols = [Y[:, i] for i in range(k)]
     for i in range(l // 2):
         cols.append(_r_nonsep(Y[:, k + 2 * i: k + 2 * i + 2]))

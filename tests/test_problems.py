@@ -15,7 +15,7 @@ from moeapap.problems import (
     reference_front,
     sample_reference_front,
 )
-from moeapap.problems.wfg import wfg_evaluate
+from moeapap.problems.wfg import upper_bounds, wfg_evaluate
 
 ALL_NAMES = available_problems()
 
@@ -171,6 +171,16 @@ class TestWfgOracle:
         x, expected = self.WFG1_CASE
         got = wfg_evaluate(1, np.asarray([x]), m=3, k=2)[0]
         assert got == pytest.approx(expected, abs=1e-5)
+
+    @pytest.mark.parametrize("l", [1, 3])
+    def test_odd_distance_count_refused_where_pairs_are_coupled(self, l):
+        # WFG2 and WFG3 reduce the distance parameters two at a time, so an
+        # odd l would leave one unread; WFG4 reads them as one group
+        X = upper_bounds(4 + l) * rng_for(l).random((3, 4 + l))
+        for index in (2, 3):
+            with pytest.raises(ValueError, match="even number of distance parameters"):
+                wfg_evaluate(index, X, m=3, k=4)
+        assert np.isfinite(wfg_evaluate(4, X, m=3, k=4)).all()
 
 
 class TestReferenceFronts:
