@@ -10,9 +10,8 @@ search (uniform sampling interleaved with single-parameter perturbations of
 the incumbent) behind a narrow interface, so a model-based tool can replace
 it without touching the loop.
 
-One evaluator holds the constructor's state: every member run, stored
-per (config fingerprint, problem, seed) as the ``(result, ihvr, failure)``
-triple ``portfolio._run_member`` makes, and every portfolio score.  A
+One evaluator holds the constructor's state: one ``portfolio.MemberRuns``
+store of every member run and every per-problem portfolio score.  A
 portfolio is scored by passing the stored triples to
 ``portfolio.output_rule``, the rule ``run_pap`` applies; member seeds depend
 on the config fingerprint only, so stored runs stay valid as the portfolio
@@ -30,7 +29,7 @@ from . import problems
 from ._seeding import rng_for, seed_sequence
 from .algorithms import FOUNDATIONS, LEGAL_OPERATORS, PARAM_SCHEMAS, AlgorithmConfig, RunBudget
 from .core import ConfigurationError, ContractViolationError
-from .portfolio import MAX_MEMBERS, Portfolio, _run_member, output_rule
+from .portfolio import MAX_MEMBERS, MemberRuns, Portfolio, output_rule
 
 PORTFOLIO_FORMAT = "moeapap-portfolio"
 PORTFOLIO_VERSION = 1
@@ -171,32 +170,13 @@ class TrainingSet:
 
 
 class _Evaluator:
-    """Training scores of portfolios.  Holds every member run per (config
-    fingerprint, problem, run seed) and every per-problem score."""
+    """Training scores of portfolios.  Holds one store of member runs and
+    every per-problem score."""
 
     def __init__(self, Z: TrainingSet, runner=None):
         self.Z = Z
-        self.runner = runner
-        self.runs: dict[tuple[str, str, int], tuple] = {}
-        self.hits = 0
-        self.misses = 0
+        self.runs = MemberRuns(runner)
         self._omega_memo: dict[tuple, float] = {}
-        self.failures: list[tuple[str, str, str]] = []
-
-    def member_run(self, config, entry: TrainingProblem, seed: int):
-        """The ``_run_member`` triple ``(result, ihvr, failure)`` of one
-        member run, made once and stored."""
-        key = (config.fingerprint(), entry.name, seed)
-        if key in self.runs:
-            self.hits += 1
-            return self.runs[key]
-        self.misses += 1
-        problem = problems.get_problem(entry.name)
-        self.runs[key] = _run_member(config, problem, entry.budget, seed, self.runner)
-        failure = self.runs[key][2]
-        if failure is not None:  # scored as no improvement
-            self.failures.append((config.label(), entry.name, failure))
-        return self.runs[key]
 
     def omega_problem(self, configs, entry: TrainingProblem) -> float:
         """Mean over the entry's seeds of the portfolio score on one problem;
@@ -206,9 +186,9 @@ class _Evaluator:
         memo_key = (tuple(c.fingerprint() for c in configs), entry.name)
         if memo_key in self._omega_memo:
             return self._omega_memo[memo_key]
-        total = 0.0
+        total, problem = 0.0, problems.get_problem(entry.name)
         for seed in entry.seeds:
-            runs = [self.member_run(c, entry, seed) for c in configs]
+            runs = [self.runs.get(c, problem, entry.budget, seed) for c in configs]
             if any(result is not None for result, _, _ in runs):
                 total += output_rule(runs, entry.budget.pop_size, entry.name).omega
         value = total / len(entry.seeds)
@@ -286,10 +266,8 @@ class ConstructionReport:
                 f"(omega {rem['omega_before']:.6f} -> {rem['omega_after']:.6f})"
             )
         if self.failures:
-            lines.append("")
-            lines.append("member-run failures (scored as no improvement):")
-            for label, problem, msg in self.failures:
-                lines.append(f"  {label} on {problem}: {msg}")
+            lines += ["", "member-run failures (scored as no improvement):"]
+            lines += [f"  {label} on {problem}: {msg}" for label, problem, msg in self.failures]
         lines.append("")
         lines.append("omega trajectory: " + ", ".join(f"{v:.6f}" for v in self.omega_trajectory))
         if self.cache_stats:
@@ -391,8 +369,9 @@ def construct(
             if not changed:
                 break
 
-    report.failures = list(ev.failures)
-    report.cache_stats = {"entries": len(ev.runs), "hits": ev.hits, "misses": ev.misses}
+    report.failures = list(ev.runs.failures)
+    made = len(ev.runs.runs)  # one run per miss
+    report.cache_stats = {"entries": made, "hits": ev.runs.hits, "misses": made}
     if not members:
         raise ConfigurationError("construction produced an empty portfolio")
     return Portfolio(tuple(members), name=name), report

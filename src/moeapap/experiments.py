@@ -4,8 +4,11 @@ per-member contribution analysis.
 
 All run seeds derive from the master seed, the problem name and the
 repetition index only, so every compared algorithm sees common random
-numbers and reruns are bitwise reproducible.  Wall times are written to a
-separate timings file because they are the one non-deterministic output.
+numbers and reruns are bitwise reproducible.  One job is one (problem,
+repetition): it runs every portfolio through one ``portfolio.MemberRuns``
+store, so a member that portfolios share runs once per job, and ``workers``
+spreads the jobs over processes.  Wall times are written to a separate
+timings file because they are the one non-deterministic output.
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
-from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +28,7 @@ from ._seeding import seed_sequence
 from .algorithms import RunBudget
 from .construction import TrainingProblem, TrainingSet, load_portfolio
 from .core import ConfigurationError
-from .portfolio import PapRunResult, Portfolio, restructure, run_pap
+from .portfolio import MemberRuns, PapRunResult, Portfolio, restructure, run_pap
 from .stats import ALPHA, MIN_SAMPLE, wilcoxon_rank_sum
 
 MANIFEST_FORMAT = "moeapap-manifest"
@@ -184,7 +186,7 @@ class ExperimentConfig:
 class ResultTable:
     rows: list[tuple] = field(default_factory=list)  # CSV_HEADER-shaped tuples
     timings: list[tuple] = field(default_factory=list)
-    failures: list[tuple] = field(default_factory=list)  # as _RunRecord.failures
+    failures: list[tuple] = field(default_factory=list)  # as _failures
     _cells: dict[tuple, list[float]] = field(default_factory=dict, repr=False)
 
     def add_row(self, row: tuple) -> None:
@@ -239,8 +241,7 @@ def variant_runner(variant: str, n_factor: int):
 
 @dataclass(frozen=True)
 class _Job:
-    portfolio_name: str
-    portfolio: Portfolio
+    portfolios: tuple[Portfolio, ...]
     entry: ManifestEntry
     repetition: int
     seed: int
@@ -248,26 +249,12 @@ class _Job:
     wanted: tuple[str, ...]  # indicators to compute
 
 
-@dataclass(frozen=True)
-class _RunRecord:
-    values: dict[str, float]
-    member_metrics: tuple[float | None, ...]
-    best_member_metric: float
-    omega: float
-    # (portfolio, problem, repetition, seed, member label, message) per failed member
-    failures: tuple[tuple, ...]
-    wall_ms: float
-
-
 def _jobs(portfolios, entries, repetitions: int, master_seed: int, runner, wanted=()):
-    """One job per (name, portfolio) pair, entry and repetition, in that order."""
-    return [
-        _Job(name, portfolio, entry, rep, run_seed_for(master_seed, entry.name, rep),
-             runner, wanted)
-        for name, portfolio in portfolios
-        for entry in entries
-        for rep in range(repetitions)
-    ]
+    """One job per entry and repetition, in that order, each running every
+    portfolio at the entry's run seed for that repetition."""
+    return [_Job(tuple(portfolios), entry, rep, run_seed_for(master_seed, entry.name, rep),
+                 runner, wanted)
+            for entry in entries for rep in range(repetitions)]
 
 
 def _indicator_values(pap: PapRunResult, entry: ManifestEntry, wanted) -> dict[str, float]:
@@ -283,26 +270,34 @@ def _indicator_values(pap: PapRunResult, entry: ManifestEntry, wanted) -> dict[s
     return out
 
 
-def _experiment_job(job: _Job) -> _RunRecord:
-    problem = problems.get_problem(job.entry.name)
-    start = time.perf_counter()
-    pap = run_pap(job.portfolio, problem, job.entry.budget, job.seed, runner=job.runner)
-    wall_ms = (time.perf_counter() - start) * 1000.0
-    return _RunRecord(
-        _indicator_values(pap, job.entry, job.wanted),
-        pap.member_metrics, pap.best_member_metric, pap.omega,
-        tuple((job.portfolio_name, job.entry.name, job.repetition, job.seed,
-               job.portfolio.members[i].label(), message) for i, message in pap.failures),
-        wall_ms,
-    )
+def _experiment_job(job: _Job) -> list[tuple[PapRunResult, dict[str, float], float]]:
+    """``(run, indicator values, wall_ms)`` per portfolio, over one store of
+    member runs: ``wall_ms`` is the stored wall time of each member run the
+    portfolio reads, shared or not, plus its own output rule."""
+    problem, budget = problems.get_problem(job.entry.name), job.entry.budget
+    runs = MemberRuns(job.runner)
+    out = []
+    for portfolio in job.portfolios:
+        made, start = sum(runs.wall_s.values()), time.perf_counter()
+        pap = run_pap(portfolio, problem, budget, job.seed, runs)
+        own_s = time.perf_counter() - start - (sum(runs.wall_s.values()) - made)
+        member_s = sum(runs.wall_s[runs.key(c, problem, budget, job.seed)] for c in portfolio.members)
+        out.append((pap, _indicator_values(pap, job.entry, job.wanted), (own_s + member_s) * 1000.0))
+    return out
 
 
-def _map_jobs(jobs: list[_Job], workers: int = 1) -> list[_RunRecord]:
-    """Records of the jobs in job order, over ``workers`` processes."""
+def _map_jobs(jobs: list[_Job], workers: int = 1) -> list[list[tuple]]:
+    """Results of the jobs in job order, over ``workers`` processes."""
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_experiment_job, jobs, chunksize=1))
     return [_experiment_job(job) for job in jobs]
+
+
+def _failures(name: str, portfolio: Portfolio, job: _Job, pap: PapRunResult) -> list[tuple]:
+    """(portfolio, problem, repetition, seed, member label, message) per failed member."""
+    return [(name, job.entry.name, job.repetition, job.seed, portfolio.members[i].label(), message)
+            for i, message in pap.failures]
 
 
 def _failure_lines(failures, heading: str) -> list[str]:
@@ -322,19 +317,20 @@ def run_experiment(cfg: ExperimentConfig) -> ResultTable:
     if len(set(names)) != len(names):
         raise ConfigurationError(f"portfolio names collide: {names}")
 
-    runner = variant_runner(cfg.variant, cfg.n_factor)
-    jobs = _jobs(zip(names, portfolios), manifest.entries, cfg.repetitions, cfg.master_seed,
-                 runner, cfg.indicators)
+    jobs = _jobs(portfolios, manifest.entries, cfg.repetitions, cfg.master_seed,
+                 variant_runner(cfg.variant, cfg.n_factor), cfg.indicators)
     # the runs go in manifest order, the results in (portfolio, problem name, repetition) order
-    runs = sorted(zip(jobs, _map_jobs(jobs, cfg.workers)), key=lambda run: (
-        names.index(run[0].portfolio_name), run[0].entry.name, run[0].repetition))
+    done = sorted(zip(jobs, _map_jobs(jobs, cfg.workers)),
+                  key=lambda run: (run[0].entry.name, run[0].repetition))
     table = ResultTable()
-    for run_id, (job, record) in enumerate(runs):
-        name, prob = job.portfolio_name, job.entry.name
-        for ind in cfg.indicators:
-            table.add_row((run_id, job.seed, name, prob, cfg.variant, ind, record.values[ind]))
-        table.timings.append((run_id, name, prob, job.repetition, record.wall_ms))
-        table.failures += record.failures
+    for i, (name, portfolio) in enumerate(zip(names, portfolios)):
+        for job, results in done:
+            pap, values, wall_ms = results[i]
+            run_id = len(table.timings)
+            for ind in cfg.indicators:
+                table.add_row((run_id, job.seed, name, job.entry.name, cfg.variant, ind, values[ind]))
+            table.timings.append((run_id, name, job.entry.name, job.repetition, wall_ms))
+            table.failures += _failures(name, portfolio, job, pap)
 
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -440,7 +436,7 @@ class MemberAnalysis:
     member_means: dict[str, list[float]]
     no_restructure: dict[str, float]
     full_pap: dict[str, float]
-    failures: list[tuple] = field(default_factory=list)  # as _RunRecord.failures
+    failures: list[tuple] = field(default_factory=list)  # as _failures
 
     def as_text(self) -> str:
         width = 14
@@ -488,19 +484,17 @@ def member_analysis(
     failed member run scores 0 and is listed in ``failures``."""
     if repetitions < 1:
         raise ConfigurationError("repetitions must be at least 1")
-    jobs = _jobs([(portfolio.name, portfolio)], manifest.entries, repetitions, master_seed,
-                 runner)
-    records = iter(_map_jobs(jobs))
-    analysis = MemberAnalysis([m.label() for m in portfolio.members], [], {}, {}, {})
-    for entry in manifest.entries:
-        sums, sum_eq11, sum_eq14 = np.zeros(len(portfolio)), 0.0, 0.0
-        for record in islice(records, repetitions):
-            sums += np.asarray([m if m is not None else 0.0 for m in record.member_metrics])
-            sum_eq11 += record.best_member_metric
-            sum_eq14 += record.omega
-            analysis.failures += record.failures
-        analysis.problems.append(entry.name)
-        analysis.member_means[entry.name] = (sums / repetitions).tolist()
-        analysis.no_restructure[entry.name] = sum_eq11 / repetitions
-        analysis.full_pap[entry.name] = sum_eq14 / repetitions
-    return analysis
+    jobs = _jobs([portfolio], manifest.entries, repetitions, master_seed, runner)
+    sums: dict[str, np.ndarray] = {}  # member scores, then the two output rules
+    failures = []
+    for job, [(pap, _, _)] in zip(jobs, _map_jobs(jobs)):
+        scores = [0.0 if m is None else m for m in pap.member_metrics]
+        scores += [pap.best_member_metric, pap.omega]
+        sums[job.entry.name] = sums.get(job.entry.name, 0.0) + np.asarray(scores)
+        failures += _failures(portfolio.name, portfolio, job, pap)
+    means = {name: (total / repetitions).tolist() for name, total in sums.items()}
+    return MemberAnalysis(
+        [m.label() for m in portfolio.members], list(means),
+        {name: m[:-2] for name, m in means.items()}, {name: m[-2] for name, m in means.items()},
+        {name: m[-1] for name, m in means.items()}, failures,
+    )

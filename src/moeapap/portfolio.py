@@ -2,21 +2,21 @@
 solution sets through the Restructure rule, and return the best candidate
 set by ihvr.
 
-``_run_member`` is the one place a member run is made and scored: it calls
-``algorithms.run`` at the member seed and returns ``(result, ihvr,
-failure)``.  ``output_rule`` takes those triples as they are, for
-``run_pap`` and for the constructor alike.  Both score against the
-problem's own memoized ``HvContext``, looked up from its name.
-
-The output rule considers every member's set plus the restructured union,
-so the portfolio's score on a problem is the maximum over all candidates.
 Member run seeds are derived from (run seed, member fingerprint), so adding
-or removing members never perturbs the runs of the remaining members and
-identical configurations reproduce identical runs.
+or removing members never perturbs the runs of the remaining members, and a
+member run is a pure function of (config, problem, budget, run seed): the
+unit of work.  ``MemberRuns`` is the one place a member run is made and
+scored, once per key, as a ``(result, ihvr, failure)`` triple;
+``output_rule`` reduces the triples of a portfolio's members, for
+``run_pap`` and for the constructor alike.  It considers every member's set
+plus the restructured union, so the portfolio's score on a problem is the
+maximum over all candidates, each scored against the problem's own
+memoized ``HvContext``.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -117,7 +117,7 @@ def member_seed(run_seed: int, config: AlgorithmConfig) -> int:
 def output_rule(runs, cap: int, problem_name: str) -> PapRunResult:
     """Restructure the members' sets and pick the ihvr-best candidate.
 
-    ``runs`` holds one ``_run_member`` triple ``(result, ihvr, failure)``
+    ``runs`` holds one ``MemberRuns.get`` triple ``(result, ihvr, failure)``
     per member; a failed run is ``(None, None, message)``.  The successful
     sets are restructured to at most ``cap`` rows and scored against the
     named problem's context; ties prefer the restructured set, then the
@@ -149,27 +149,50 @@ def output_rule(runs, cap: int, problem_name: str) -> PapRunResult:
     )
 
 
-def _run_member(config, problem, budget: RunBudget, seed: int, runner=None):
-    """``(result, ihvr, None)`` of one member run at its member seed, or
-    ``(None, None, message)`` if the engine raised.  ``algorithms.run`` is
-    looked up per call."""
-    run = algorithms.run if runner is None else runner
-    try:
-        result = run(config, problem, budget, member_seed(seed, config))
-    except Exception as exc:  # noqa: BLE001 - candidate exclusion is the contract
-        return None, None, f"{type(exc).__name__}: {exc}"
-    ctx = indicators.HvContext.for_problem(problem.name)
-    return result, indicators.ihvr(result.solution_set, ctx), None
+class MemberRuns:
+    """The ``(result, ihvr, failure)`` triple and wall time in seconds of each
+    run of one runner, by (config fingerprint, problem name, budget, run
+    seed); the hit count; the failures as ``(label, problem, message)`` in
+    first-run order.  ``runner`` (the budget variants, the tests' synthetic
+    members) replaces ``algorithms.run``, which is looked up per run."""
+
+    def __init__(self, runner=None):
+        self.runner = runner
+        self.runs: dict[tuple, tuple] = {}
+        self.wall_s: dict[tuple, float] = {}
+        self.hits = 0
+        self.failures: list[tuple[str, str, str]] = []
+
+    @staticmethod
+    def key(config, problem, budget: RunBudget, seed: int) -> tuple:
+        return config.fingerprint(), problem.name, budget, seed
+
+    def get(self, config, problem, budget: RunBudget, seed: int):
+        """``(result, ihvr, None)`` of ``config``'s run at its member seed for
+        run seed ``seed``, or ``(None, None, message)`` if the engine raised."""
+        key = self.key(config, problem, budget, seed)
+        if key in self.runs:
+            self.hits += 1
+            return self.runs[key]
+        start = time.perf_counter()
+        try:
+            result = (self.runner or algorithms.run)(config, problem, budget, member_seed(seed, config))
+        except Exception as exc:  # noqa: BLE001 - candidate exclusion is the contract
+            self.failures.append((config.label(), problem.name, f"{type(exc).__name__}: {exc}"))
+            self.runs[key] = None, None, self.failures[-1][2]
+        else:
+            ctx = indicators.HvContext.for_problem(problem.name)
+            self.runs[key] = result, indicators.ihvr(result.solution_set, ctx), None
+        self.wall_s[key] = time.perf_counter() - start
+        return self.runs[key]
 
 
-def run_pap(portfolio: Portfolio, problem, budget: RunBudget, seed: int, runner=None) -> PapRunResult:
-    """Run every member in turn, then apply the output rule.
-
-    Failed member runs are excluded from the candidates and recorded in
-    ``failures``; if every member fails the run errors out.  ``runner`` may
-    replace ``algorithms.run``, which is how the budget variants and the
-    tests' synthetic members are injected.  Runs are parallelised across
-    jobs by the experiment harness, not here.
-    """
-    runs = [_run_member(c, problem, budget, seed, runner) for c in portfolio.members]
-    return output_rule(runs, budget.pop_size, problem.name)
+def run_pap(portfolio: Portfolio, problem, budget: RunBudget, seed: int,
+            runs: MemberRuns | None = None) -> PapRunResult:
+    """Run every member through ``runs`` (a fresh store when None), then
+    apply the output rule.  Failed member runs are excluded from the
+    candidates and recorded in ``failures``; if every member fails the run
+    errors out.  Jobs, not members, run in parallel (``experiments``)."""
+    runs = MemberRuns() if runs is None else runs
+    triples = [runs.get(c, problem, budget, seed) for c in portfolio.members]
+    return output_rule(triples, budget.pop_size, problem.name)

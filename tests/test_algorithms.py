@@ -17,7 +17,7 @@ from moeapap.algorithms.common import binary_tournament, environmental_select, i
 from moeapap.algorithms.moead import simplex_weights, tchebycheff, tchebycheff_weights
 from moeapap.algorithms.mopso import _GridArchive, pbest_replaced
 from moeapap.core import ConfigurationError
-from moeapap.portfolio import _run_member, member_seed
+from moeapap.portfolio import MemberRuns, member_seed
 from moeapap.problems import get_problem
 
 from .oracles import (
@@ -136,7 +136,7 @@ class TestDispatcher:
 
         monkeypatch.setattr(moeapap.algorithms, "run", counting)
         cfg = nsga2_sbx()
-        result, metric, failure = _run_member(cfg, get_problem("ZDT1"), RunBudget(12, 3), seed=4)
+        result, metric, failure = MemberRuns().get(cfg, get_problem("ZDT1"), RunBudget(12, 3), seed=4)
         assert len(calls) == 1 and calls[0][3] == member_seed(4, cfg)
         assert failure is None and 0.0 < metric
         assert result.evaluations == 12 * 4

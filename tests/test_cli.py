@@ -1,12 +1,16 @@
 """End-to-end CLI exercises on tiny budgets."""
 
 import json
+import sys
 
 import pytest
 
 import moeapap.algorithms
+import moeapap.portfolio
 from moeapap.cli import build_parser, main
 from moeapap.construction import load_portfolio
+
+from .test_golden import golden
 
 
 @pytest.fixture()
@@ -35,6 +39,25 @@ def engine_runs(monkeypatch):
         return engine(*args)
 
     monkeypatch.setattr(moeapap.algorithms, "run", counting)
+    return calls
+
+
+@pytest.fixture()
+def pap_runs(monkeypatch):
+    """The (problem, seed) of every ``portfolio.run_pap`` call, patched in every
+    package module that imported it by value, as a tracer patches it."""
+    original = moeapap.portfolio.run_pap
+    calls = []
+
+    def counting(portfolio, problem, budget, seed, *args, **kwargs):
+        calls.append((problem.name, seed))
+        return original(portfolio, problem, budget, seed, *args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "moeapap" and module is not None:
+            for alias, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, alias, counting)
     return calls
 
 
@@ -88,12 +111,11 @@ def test_construct_then_evaluate_then_compare(tmp_path, tiny_manifest, capsys):
     assert "W-D-L" in captured.out
 
 
-def test_analyze_members(tmp_path, tiny_manifest, capsys):
-    pf = tmp_path / "pf.json"
-    payload = {
-        "format": "moeapap-portfolio",
-        "version": 1,
-        "name": "duo",
+def _duo_portfolio(tmp_path) -> str:
+    """Two members, the first of them ``_solo_portfolio``'s."""
+    pf = tmp_path / "duo.json"
+    pf.write_text(json.dumps({
+        "format": "moeapap-portfolio", "version": 1, "name": "duo",
         "members": [
             {"foundation": "NSGA2", "operator": "sbx_pm",
              "params": {"eta_sbx": 15, "eta_pm": 20}},
@@ -101,11 +123,14 @@ def test_analyze_members(tmp_path, tiny_manifest, capsys):
              "params": {"F": 0.5, "CR": 0.9, "p": 1, "ps": 0.9, "n_r": 2,
                         "neighbor_size": 10}},
         ],
-    }
-    pf.write_text(json.dumps(payload))
+    }))
+    return str(pf)
+
+
+def test_analyze_members(tmp_path, tiny_manifest, capsys):
     out = tmp_path / "members"
     rc = main([
-        "analyze-members", "--portfolio", str(pf), "--manifest", tiny_manifest,
+        "analyze-members", "--portfolio", _duo_portfolio(tmp_path), "--manifest", tiny_manifest,
         "--repetitions", "2", "--out-dir", str(out), "--seed", "1",
     ])
     assert rc == 0
@@ -369,3 +394,29 @@ def test_construct_rejects_empty_foundations(tmp_path, tiny_manifest, capsys, en
     assert "at least one subspace" in payload["message"]
     assert not engine_runs
     assert not (tmp_path / "pf.json").exists()
+
+
+def test_evaluate_runs_each_portfolio_once_per_problem_and_repetition(
+        tmp_path, tiny_manifest, pap_runs):
+    duo = _duo_portfolio(tmp_path)
+    rc = main([
+        "evaluate", "--portfolio", duo, "--portfolio", _solo_portfolio(tmp_path),
+        "--manifest", tiny_manifest, "--repetitions", "2", "--out-dir", str(tmp_path / "out"),
+    ])
+    assert rc == 0
+    assert len(pap_runs) == 2 * 2 * 2  # portfolios x problems x repetitions
+
+
+def test_construct_scores_without_run_pap(tmp_path, tiny_manifest, pap_runs, capsys):
+    rc = main([
+        "construct", "--manifest", tiny_manifest, "--out", str(tmp_path / "built.json"),
+        "--k", "2", "--searches-per-iter", "2", "--budget-per-search", "1", "--seed", "3",
+    ])
+    assert rc == 0 and pap_runs == []
+
+
+def test_portfolios_sharing_members_share_their_runs(tmp_path, engine_runs):
+    # the pap3 portfolio against its three members alone, on 2 problems x 3
+    # repetitions: each member runs once per (problem, repetition), not twice
+    golden.compare_pap3(tmp_path)
+    assert len(engine_runs) == 3 * 2 * 3

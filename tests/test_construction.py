@@ -23,6 +23,7 @@ from moeapap.core import ConfigurationError, ContractViolationError, SolutionSet
 from moeapap.indicators import HvContext, ihvr
 from moeapap.portfolio import (
     MAX_MEMBERS,
+    MemberRuns,
     RESTRUCTURE,
     Portfolio,
     member_seed,
@@ -96,7 +97,7 @@ class TestMarginalContribution:
             ctx = HvContext.for_problem(entry.name)
             per_seed = []
             for seed in entry.seeds:
-                result, metric, _ = ev.member_run(cfg, entry, seed)
+                result, metric, _ = ev.runs.get(cfg, get_problem(entry.name), entry.budget, seed)
                 merged = restructure([result.solution_set], entry.budget.pop_size)
                 per_seed.append(max(metric, ihvr(merged, ctx)))
             total += sum(per_seed) / len(per_seed)
@@ -156,7 +157,7 @@ class TestEvaluatorScoresLikeRunPap:
         ev = _Evaluator(Z)
         for entry in Z.entries:
             assert ev.omega_problem(configs, entry) == _mean_run_pap_omega(configs, entry)
-        assert ev.misses == 2 * 3 * 3 and ev.hits == 0
+        assert len(ev.runs.runs) == 2 * 3 * 3 and ev.runs.hits == 0
 
     def test_failed_members_excluded_as_in_run_pap(self):
         a = AlgorithmConfig.make("NSGA2", "sbx_pm", eta_sbx=5, eta_pm=5)
@@ -176,12 +177,12 @@ class TestEvaluatorScoresLikeRunPap:
         ev = _Evaluator(TrainingSet((entry,)), runner=runner)
         got = ev.omega_problem([a, b], entry)
         with pytest.raises(ContractViolationError):
-            run_pap(Portfolio((a, b)), get_problem("ZDT1"), entry.budget, 3, runner=runner)
-        paps = [run_pap(Portfolio((a, b)), get_problem("ZDT1"), entry.budget, seed, runner=runner)
-                for seed in (1, 2)]
+            run_pap(Portfolio((a, b)), get_problem("ZDT1"), entry.budget, 3, MemberRuns(runner))
+        paps = [run_pap(Portfolio((a, b)), get_problem("ZDT1"), entry.budget, seed,
+                        MemberRuns(runner)) for seed in (1, 2)]
         assert paps[0].chosen_source == RESTRUCTURE and paps[1].member_metrics[1] is None
         assert got == (paps[0].omega + paps[1].omega + 0.0) / 3
-        assert len(ev.failures) == 3
+        assert len(ev.runs.failures) == 3
 
 
 class TestConfigureSubspace:

@@ -228,14 +228,22 @@ class TestRunExperiment:
 
     def test_workers_write_the_same_csv_bytes(self, tmp_path):
         pf = Portfolio((*demo_portfolio().members, refused_moead()), name="refusing")
-        written = []
-        for workers in (1, 2):
-            base = tmp_path / f"w{workers}"
-            base.mkdir()
-            run_experiment(self._config(base, small_manifest(), [pf], workers=workers))
-            out = base / "out"
-            written.append(((out / "results.csv").read_bytes(), (out / "summary.txt").read_bytes()))
-        assert written[0] == written[1]
+        # shares its member runs with ``pf`` within each (problem, repetition) job
+        solo = Portfolio(demo_portfolio().members[1:], name="solo")
+        results = []
+        for portfolios in ([pf], [pf, solo]):
+            written = []
+            for workers in (1, 2):
+                base = tmp_path / f"{len(portfolios)}x{workers}"
+                base.mkdir()
+                run_experiment(self._config(base, small_manifest(), portfolios, workers=workers))
+                out = base / "out"
+                written.append(((out / "results.csv").read_bytes(),
+                                (out / "summary.txt").read_bytes()))
+            assert written[0] == written[1]
+            results.append(written[0][0])
+        # a shared run gives the same rows as a run of its own
+        assert results[1].startswith(results[0]) and len(results[1]) > len(results[0])
 
     def test_rows_in_portfolio_problem_repetition_order(self, tmp_path):
         pf_b = Portfolio((AlgorithmConfig.make("NSGA2", "sbx_pm", eta_sbx=30, eta_pm=30),),

@@ -6,6 +6,7 @@ import pytest
 from moeapap.algorithms import AlgorithmConfig, RunBudget, RunResult
 from moeapap.core import ContractViolationError, SolutionSet
 from moeapap.portfolio import (
+    MemberRuns,
     RESTRUCTURE,
     Portfolio,
     member_seed,
@@ -172,7 +173,7 @@ class TestRunPap:
             b.fingerprint(): [[0.5, 0.5]],
         })
         res = run_pap(Portfolio((a, b)), get_problem("ZDT1"), RunBudget(10, 1), seed=0,
-                      runner=runner)
+                      runs=MemberRuns(runner))
         assert res.chosen_source == RESTRUCTURE
         assert res.omega > max(v for v in res.member_metrics if v is not None)
 
@@ -186,7 +187,7 @@ class TestRunPap:
             return RunResult(SolutionSet(np.array([[0.5, 0.5]])), 0, 0.0, seed, budget.pop_size)
 
         res = run_pap(Portfolio((a, b)), get_problem("ZDT1"), RunBudget(10, 1), seed=0,
-                      runner=runner)
+                      runs=MemberRuns(runner))
         assert res.member_metrics[1] is None
         assert len(res.failures) == 1 and res.failures[0][0] == 1
 
@@ -196,4 +197,4 @@ class TestRunPap:
 
         with pytest.raises(ContractViolationError):
             run_pap(Portfolio((_cfg_nsga2(),)), get_problem("ZDT1"), RunBudget(10, 1),
-                    seed=0, runner=runner)
+                    seed=0, runs=MemberRuns(runner))
