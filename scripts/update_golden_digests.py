@@ -12,11 +12,11 @@ problem at the same budget, and the ``results.csv`` text of a tiny
 is refused, and the digests of ``results.csv``, ``wilcoxon.csv`` and
 ``wdl.csv`` of a ``compare`` of that portfolio against its three members as
 single-member portfolios (ZDT1 at 20x10, WFG4 at 30x10, 3 repetitions), in
-which the portfolios share every member run.  It also holds the digests of the ``portfolio.json`` bytes and
-the report text of a toy ``construct`` on ZDT1 and WFG4 at 12x10 over all
-three foundations (``--k 2``, 3 searches per iteration, so each iteration
-searches every foundation, and 2 candidates per search, so the second is a
-perturbation); at population 12 MOEA/D refuses every sampled neighbourhood
+which the portfolios share every member run.  It also holds the digests of
+the ``portfolio.json`` bytes and the report text of a toy ``construct`` on
+ZDT1 and WFG4 at 12x10 over all three foundations (``--k 2``, 3 searches
+per iteration, so each iteration searches every foundation, and 2
+candidates per search, so the second is a perturbation); at population 12 MOEA/D refuses every sampled neighbourhood
 above 12 (ZDT1) or 10 (WFG4) subproblems, and the report lists those
 refusals.  Finally it holds the digest of ``Problem.evaluate`` on one seeded
 batch per registered problem: 16 rows inside the bounds and 8 rows where a
