@@ -24,7 +24,11 @@ seeded half of the variables sit exactly on a bound, where the engines
 clamp, and of ``Problem.evaluate`` of every WFG problem on 24 rows with the
 distance variables at their optimum (0.35 times the upper bound on WFG1-7),
 where WFG1's ``_b_flat`` lands a hair below 0 and its ``_correct_to_01``
-acts.  Digests depend on the numpy build, so numpy's version is recorded
+acts, and of ``Problem.evaluate`` of every registered problem on 24 rows
+whose variables sit on a bound or ``_BOUNDS_EPS``/2 beyond it, which
+``evaluate`` still accepts: there WFG corrections act on values on both
+sides of [0, 1] and leave values further out alone, and some problems
+return NaN.  Digests depend on the numpy build, so numpy's version is recorded
 too.  ``tests/test_golden.py`` recomputes everything through ``compute()``
 and compares.  A change that alters outputs on purpose
 reruns this script in the same commit and names the changed keys:
@@ -53,7 +57,7 @@ from moeapap.cli import main as cli_main  # noqa: E402
 from moeapap.construction import save_portfolio  # noqa: E402
 from moeapap.experiments import ExperimentConfig, run_experiment  # noqa: E402
 from moeapap.portfolio import Portfolio, run_pap  # noqa: E402
-from moeapap.problems import available_problems, get_problem, wfg  # noqa: E402
+from moeapap.problems import _BOUNDS_EPS, available_problems, get_problem, wfg  # noqa: E402
 
 GOLDEN = ROOT / "tests" / "golden_digests.json"
 BUDGETS = {"ZDT1": RunBudget(20, 100), "WFG4": RunBudget(30, 20)}
@@ -111,6 +115,25 @@ def _evaluate_digest(problem) -> str:
     on_bound = rng.random((8, problem.n_vars)).argsort(axis=1) < problem.n_vars // 2
     X[16:] = np.where(on_bound, np.where(rng.random((8, problem.n_vars)) < 0.5, lo, hi), X[16:])
     return hashlib.sha256(problem.evaluate(X).tobytes()).hexdigest()
+
+
+def _edge_digest(problem) -> str:
+    """sha256 of ``problem.evaluate`` on 24 rows at the edges of its bounds:
+    four rows with every variable at ``lo - _BOUNDS_EPS/2``, ``lo``, ``hi``
+    and ``hi + _BOUNDS_EPS/2``, then 20 rows where each variable takes one of
+    those four values or a seeded value inside the bounds.  Rows beyond the
+    bounds can give NaN (a square root or fractional power of a value just
+    below 0); the digest records it."""
+    rng = np.random.default_rng(SEED)
+    lo, hi = problem.bounds[:, 0], problem.bounds[:, 1]
+    edges = np.array([lo - _BOUNDS_EPS / 2, lo, hi, hi + _BOUNDS_EPS / 2])
+    X = lo + (hi - lo) * rng.random((24, problem.n_vars))
+    pick = rng.integers(0, len(edges) + 1, (20, problem.n_vars))
+    X[:4] = edges
+    X[4:] = np.where(pick < len(edges), np.take_along_axis(edges, np.minimum(pick, len(edges) - 1), 0),
+                     X[4:])
+    with np.errstate(invalid="ignore"):
+        return hashlib.sha256(problem.evaluate(X).tobytes()).hexdigest()
 
 
 def _optimum_digest(index: int) -> str:
@@ -210,6 +233,7 @@ def compute() -> dict:
         "problem_evaluate": {name: _evaluate_digest(get_problem(name)) for name in available_problems()},
         "compare": _compare(),
         "wfg_optimum": {f"WFG{i}": _optimum_digest(i) for i in range(1, 10)},
+        "problem_evaluate_edge": {name: _edge_digest(get_problem(name)) for name in available_problems()},
     }
 
 

@@ -23,6 +23,14 @@ from moeapap.algorithms.moead import simplex_weights, tchebycheff, tchebycheff_w
 from moeapap.core import SolutionSet, crowding_truncate_indices, nondominated_indices
 
 
+def correct_to_01_two_where(X, eps=1.0e-10):
+    """The WFG toolkit's correction as two masked replacements: values in
+    [-eps, 0) become 0, values in (1, 1 + eps] become 1, the rest stay."""
+    X = np.asarray(X, dtype=np.float64)
+    X = np.where((X < 0) & (X >= -eps), 0.0, X)
+    return np.where((X > 1) & (X <= 1 + eps), 1.0, X)
+
+
 def brute_force_nd_indices(F):
     """O(n^2) all-pairs dominance oracle."""
     n = len(F)

@@ -15,7 +15,9 @@ from moeapap.problems import (
     reference_front,
     sample_reference_front,
 )
-from moeapap.problems.wfg import upper_bounds, wfg_evaluate
+from moeapap.problems.wfg import _correct_to_01, upper_bounds, wfg_evaluate
+
+from .oracles import correct_to_01_two_where
 
 ALL_NAMES = available_problems()
 
@@ -181,6 +183,27 @@ class TestWfgOracle:
             with pytest.raises(ValueError, match="even number of distance parameters"):
                 wfg_evaluate(index, X, m=3, k=4)
         assert np.isfinite(wfg_evaluate(4, X, m=3, k=4)).all()
+
+
+class TestWfgCorrection:
+    EPS = 1.0e-10
+    # -eps, 0, 1 and 1 + eps with their neighbouring doubles, signed zeros,
+    # values far outside [0, 1], infinities and NaN
+    GRID = np.array([
+        -EPS, np.nextafter(-EPS, -np.inf), np.nextafter(-EPS, np.inf),
+        -0.0, 0.0, np.nextafter(0.0, -1.0), np.nextafter(0.0, 1.0), 0.5,
+        1.0, np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0),
+        1.0 + EPS, np.nextafter(1.0 + EPS, 0.0), np.nextafter(1.0 + EPS, 2.0),
+        -3.0, 7.5, -1e300, 1e300, -np.inf, np.inf, np.nan,
+    ])
+
+    def test_matches_two_where_definition_bitwise(self):
+        rng = rng_for("correct-to-01")
+        inputs = [self.GRID, self.GRID[::-1], self.GRID[:, None],
+                  rng.choice(self.GRID, (17, 12)), rng.choice(self.GRID, (3, 40))[:, ::3]]
+        for X in inputs:
+            got, want = _correct_to_01(X), correct_to_01_two_where(X)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), X
 
 
 class TestReferenceFronts:
