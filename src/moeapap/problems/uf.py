@@ -14,10 +14,13 @@ N_VARS = 30
 _J1 = np.arange(3, N_VARS + 1, 2)  # odd j >= 3
 _J2 = np.arange(2, N_VARS + 1, 2)  # even j
 
-# three-way split for the three-objective problems
-_K1 = np.array([j for j in range(3, N_VARS + 1) if (j - 1) % 3 == 0])
-_K2 = np.array([j for j in range(3, N_VARS + 1) if (j - 2) % 3 == 0])
-_K3 = np.array([j for j in range(3, N_VARS + 1) if j % 3 == 0])
+# three-way split for the three-objective problems: j = 3..30 ordered as
+# the blocks K1, K2, K3, block i holding _K[_K_EDGES[i]:_K_EDGES[i + 1]]
+_K_BLOCKS = [[j for j in range(3, N_VARS + 1) if (j - r) % 3 == 0] for r in (1, 2, 0)]
+_K = np.concatenate(_K_BLOCKS)
+_K_EDGES = np.cumsum([0] + [len(b) for b in _K_BLOCKS])
+# each block's sum enters its objective scaled by 2/|K_i|
+_K_SCALES = 2.0 / np.diff(_K_EDGES)
 
 
 def _y_sin(X: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -95,38 +98,36 @@ def uf7(X: np.ndarray) -> np.ndarray:
     return np.column_stack((f1, f2))
 
 
-def _y3(X: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    x1 = X[:, :1]
-    x2 = X[:, 1:2]
-    return X[:, idx - 1] - 2.0 * x2 * np.sin(2.0 * np.pi * x1 + idx * np.pi / N_VARS)
+def _k_terms(X: np.ndarray, h) -> np.ndarray:
+    """(n, 3): 2/|K_i| times the sum over j in K_i of h(y_j), where
+    y_j = x_j - 2 x_2 sin(2 pi x_1 + j pi / 30); every y_j comes from one
+    gather and one ``sin`` over the 28 columns."""
+    Y = h(X[:, _K - 1] - 2.0 * X[:, 1:2] * np.sin(2.0 * np.pi * X[:, :1] + _K * np.pi / N_VARS))
+    sums = np.column_stack([Y[:, a:b].sum(axis=1) for a, b in zip(_K_EDGES[:-1], _K_EDGES[1:])])
+    return _K_SCALES * sums
+
+
+def _sphere(X: np.ndarray) -> np.ndarray:
+    # UF8 and UF10's position part: the unit sphere's octant in x_1, x_2
+    a = 0.5 * np.pi * X[:, 0]
+    b = 0.5 * np.pi * X[:, 1]
+    return np.column_stack((np.cos(a) * np.cos(b), np.cos(a) * np.sin(b), np.sin(a)))
 
 
 def uf8(X: np.ndarray) -> np.ndarray:
-    a = 0.5 * np.pi * X[:, 0]
-    b = 0.5 * np.pi * X[:, 1]
-    f1 = np.cos(a) * np.cos(b) + 2.0 / _K1.size * (_y3(X, _K1) ** 2).sum(axis=1)
-    f2 = np.cos(a) * np.sin(b) + 2.0 / _K2.size * (_y3(X, _K2) ** 2).sum(axis=1)
-    f3 = np.sin(a) + 2.0 / _K3.size * (_y3(X, _K3) ** 2).sum(axis=1)
-    return np.column_stack((f1, f2, f3))
+    return _sphere(X) + _k_terms(X, np.square)
 
 
 def uf9(X: np.ndarray, eps: float = 0.1) -> np.ndarray:
     x1 = X[:, 0]
     x2 = X[:, 1]
     hump = np.maximum(0.0, (1.0 + eps) * (1.0 - 4.0 * (2.0 * x1 - 1.0) ** 2))
-    f1 = 0.5 * (hump + 2.0 * x1) * x2 + 2.0 / _K1.size * (_y3(X, _K1) ** 2).sum(axis=1)
-    f2 = 0.5 * (hump - 2.0 * x1 + 2.0) * x2 + 2.0 / _K2.size * (_y3(X, _K2) ** 2).sum(axis=1)
-    f3 = 1.0 - x2 + 2.0 / _K3.size * (_y3(X, _K3) ** 2).sum(axis=1)
-    return np.column_stack((f1, f2, f3))
+    f = np.column_stack((0.5 * (hump + 2.0 * x1) * x2, 0.5 * (hump - 2.0 * x1 + 2.0) * x2, 1.0 - x2))
+    return f + _k_terms(X, np.square)
 
 
 def uf10(X: np.ndarray) -> np.ndarray:
     def h(Y):
         return 4.0 * Y**2 - np.cos(8.0 * np.pi * Y) + 1.0
 
-    a = 0.5 * np.pi * X[:, 0]
-    b = 0.5 * np.pi * X[:, 1]
-    f1 = np.cos(a) * np.cos(b) + 2.0 / _K1.size * h(_y3(X, _K1)).sum(axis=1)
-    f2 = np.cos(a) * np.sin(b) + 2.0 / _K2.size * h(_y3(X, _K2)).sum(axis=1)
-    f3 = np.sin(a) + 2.0 / _K3.size * h(_y3(X, _K3)).sum(axis=1)
-    return np.column_stack((f1, f2, f3))
+    return _sphere(X) + _k_terms(X, h)

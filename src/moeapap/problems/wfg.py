@@ -9,11 +9,16 @@ normalized domain [0, 1].
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 
+@lru_cache(maxsize=None)
 def upper_bounds(n_vars: int) -> np.ndarray:
-    return 2.0 * np.arange(1, n_vars + 1, dtype=np.float64)
+    ub = 2.0 * np.arange(1, n_vars + 1, dtype=np.float64)
+    ub.flags.writeable = False
+    return ub
 
 
 def validate_split(n_vars: int, m: int, k: int, l: int) -> None:
@@ -28,10 +33,10 @@ def validate_split(n_vars: int, m: int, k: int, l: int) -> None:
 
 
 def _correct_to_01(X: np.ndarray, eps: float = 1.0e-10) -> np.ndarray:
-    X = np.asarray(X, dtype=np.float64)
-    X = np.where((X < 0) & (X >= -eps), 0.0, X)
-    X = np.where((X > 1) & (X <= 1 + eps), 1.0, X)
-    return X
+    # a value within eps outside [0, 1] is rounding error and moves onto the
+    # bound, a value further out stays; clipping under one mask gives the
+    # bits of two masked replacements, signed zeros and NaN included
+    return np.where((X >= -eps) & (X <= 1.0 + eps), X.clip(0.0, 1.0), X)
 
 
 # --- transformations ---------------------------------------------------------
@@ -72,28 +77,41 @@ def _b_param(y, u, A=0.98 / 49.98, B=0.02, C=50.0):
 
 
 # --- reductions --------------------------------------------------------------
+# Each reduces the last axis of a (n, groups, width) block to (n, groups)
+# without correcting; ``_groups`` corrects all group values in one pass.
 
 
 def _r_sum(Y, w):
-    # an element-wise product and a row sum, not ``Y @ w``: a BLAS product's
+    # an element-wise product and a sum, not ``Y @ w``: a BLAS product's
     # summation order depends on how many rows it gets, and a row must
     # evaluate to the same bits alone as in a batch
-    return _correct_to_01((Y * w).sum(axis=1) / w.sum())
+    return (Y * w).sum(axis=-1) / w.sum(axis=-1)
 
 
-def _r_sum_uniform(Y):
-    return _correct_to_01(Y.mean(axis=1))
+def _r_mean(Y):
+    # the arithmetic of ``np.mean``: a sum, then one division
+    return Y.sum(axis=-1) / Y.shape[-1]
+
+
+@lru_cache(maxsize=None)
+def _nonsep_pairs(A: int):
+    # row j: the column j, then the A-1 columns (j + 1 + s) mod A
+    j = np.arange(A)
+    return j[:, None], (j[:, None] + j[1:]) % A
 
 
 def _r_nonsep(Y):
-    n, A = Y.shape
+    # the toolkit adds, for j = 0..A-1, y_j and then |y_j - y_(j+1+s) mod A|
+    # for s < A-1 onto a zero; one cumsum over the same terms in the same
+    # order gives every group the bits of that double loop
+    A = Y.shape[-1]
+    own, other = _nonsep_pairs(A)
+    terms = np.zeros(Y.shape[:-1] + (1 + A * A,))
+    by_j = terms[..., 1:].reshape(Y.shape + (A,))
+    by_j[..., 0] = Y
+    np.abs(Y[..., own] - Y[..., other], out=by_j[..., 1:])
     val = np.ceil(A / 2.0)
-    num = np.zeros(n)
-    for j in range(A):
-        num += Y[:, j]
-        for s in range(A - 1):
-            num += np.abs(Y[:, j] - Y[:, (1 + j + s) % A])
-    return _correct_to_01(num / (val * (1.0 + 2.0 * A - 2.0 * val)))
+    return terms.cumsum(axis=-1)[..., -1] / (val * (1.0 + 2.0 * A - 2.0 * val))
 
 
 # --- shape functions ---------------------------------------------------------
@@ -105,14 +123,16 @@ def _shape(P, kind):
     column j the product of the first m-1-j maps times ``b`` of coordinate
     m-1-j."""
     if kind == "concave":
-        a, b = np.sin(0.5 * np.pi * P), np.cos(0.5 * np.pi * P)
+        t = 0.5 * np.pi * P
+        a, b = np.sin(t), np.cos(t)
     elif kind == "convex":
-        a, b = 1.0 - np.cos(0.5 * np.pi * P), 1.0 - np.sin(0.5 * np.pi * P)
+        t = 0.5 * np.pi * P
+        a, b = 1.0 - np.cos(t), 1.0 - np.sin(t)
     else:
         a, b = P, 1.0 - P
-    # front[:, i] is the product of the first i maps, multiplied left to right
-    front = np.cumprod(np.column_stack((np.ones(len(P)), a)), axis=1)
-    return _correct_to_01(np.column_stack((front[:, -1], front[:, -2::-1] * b[:, ::-1])))
+    # front[:, i] is the product of the first i+1 maps, multiplied left to right
+    front = np.cumprod(a, axis=1)
+    return _correct_to_01(np.concatenate((front[:, -1:], front[:, -2::-1] * b[:, :0:-1], b[:, :1]), axis=1))
 
 
 def _shape_mixed(t1, alpha=1.0, A=5.0):
@@ -130,27 +150,19 @@ def _shape_disconnected(t1, alpha=1.0, beta=1.0, A=5.0):
 def _post(T: np.ndarray, index: int) -> np.ndarray:
     # the m-1 position values, pulled towards 0.5 by the distance value T[:, -1]
     # except on WFG3's degenerate front, where only the first one is
-    A = np.ones(T.shape[1] - 1)
-    if index == 3:
-        A[1:] = 0.0
+    A = 1.0 if index != 3 else (np.arange(T.shape[1] - 1) == 0).astype(np.float64)
     return np.maximum(T[:, -1:], A) * (T[:, :-1] - 0.5) + 0.5
 
 
-def _groups(Y: np.ndarray, m: int, k: int, reduce) -> np.ndarray:
-    # m-1 position groups of k/(m-1) columns each, then the distance columns
-    gap = k // (m - 1)
-    cols = [reduce(Y[:, i * gap: (i + 1) * gap]) for i in range(m - 1)]
-    cols.append(reduce(Y[:, k:]))
-    return np.column_stack(cols)
-
-
-def _weighted_groups(Y: np.ndarray, m: int, k: int) -> np.ndarray:
-    # WFG1's weighted sums with w_j = 2j; other problems use uniform weights
-    w = np.arange(2, 2 * Y.shape[1] + 1, 2, dtype=np.float64)
-    gap = k // (m - 1)
-    cols = [_r_sum(Y[:, i * gap: (i + 1) * gap], w[i * gap: (i + 1) * gap]) for i in range(m - 1)]
-    cols.append(_r_sum(Y[:, k:], w[k:]))
-    return np.column_stack(cols)
+def _groups(Y: np.ndarray, m: int, k: int, reduce, w=None) -> np.ndarray:
+    """The (n, m) group values, corrected in one pass: ``reduce`` of the m-1
+    position groups of k/(m-1) columns each, as one (n, m-1, k/(m-1))
+    block, and of the distance columns, as one (n, 1, l) block.  Given
+    weights ``w``, one per column, ``reduce`` also gets each block's."""
+    blocks = [(Y[:, :k].reshape(len(Y), m - 1, -1),), (Y[:, None, k:],)]
+    if w is not None:
+        blocks = [(B, W) for (B,), W in zip(blocks, (w[:k].reshape(m - 1, -1), w[None, k:]))]
+    return _correct_to_01(np.concatenate([reduce(*block) for block in blocks], axis=1))
 
 
 def _pairwise_tail(Y: np.ndarray, k: int) -> np.ndarray:
@@ -158,10 +170,19 @@ def _pairwise_tail(Y: np.ndarray, k: int) -> np.ndarray:
     l = Y.shape[1] - k
     if l % 2:
         raise ValueError(f"WFG2 and WFG3 need an even number of distance parameters, got l = {l}")
-    cols = [Y[:, i] for i in range(k)]
-    for i in range(l // 2):
-        cols.append(_r_nonsep(Y[:, k + 2 * i: k + 2 * i + 2]))
-    return np.column_stack(cols)
+    pairs = _r_nonsep(Y[:, k:].reshape(len(Y), l // 2, 2))
+    return np.concatenate((Y[:, :k], _correct_to_01(pairs)), axis=1)
+
+
+def _means(Y: np.ndarray, spans) -> np.ndarray:
+    # the corrected mean of Y[:, a:b] for each (a, b) in ``spans``, as columns
+    return _correct_to_01(np.column_stack([_r_mean(Y[:, a:b]) for a, b in spans]))
+
+
+@lru_cache(maxsize=None)
+def _scales(m: int) -> np.ndarray:
+    # the objective scales S_i = 2i
+    return np.arange(2, 2 * m + 1, 2, dtype=np.float64)
 
 
 # --- per-problem objective pipelines ----------------------------------------
@@ -174,35 +195,35 @@ def wfg_evaluate(index: int, X: np.ndarray, m: int, k: int) -> np.ndarray:
     Y = X / upper_bounds(n)
 
     # each problem's transformations end in its m group values T; WFG4-9
-    # share the concave front, WFG1-3 pick their own shape
+    # share the concave front, WFG1-3 pick their own shape.  The b_param
+    # columns of WFG7-9 all read the columns as they were before the loop,
+    # so one _b_param call transforms them together
     kind = "concave"
     if index == 1:
         Y[:, k:] = _b_flat(_s_linear(Y[:, k:]), 0.8, 0.75, 0.85)
-        T = _weighted_groups(_b_poly(Y, 0.02), m, k)
+        # weights w_j = 2j
+        T = _groups(_b_poly(Y, 0.02), m, k, _r_sum, w=2.0 * np.arange(1, n + 1))
         kind = "convex"
     elif index in (2, 3):
         Y[:, k:] = _s_linear(Y[:, k:])
-        T = _groups(_pairwise_tail(Y, k), m, k, _r_sum_uniform)
+        T = _groups(_pairwise_tail(Y, k), m, k, _r_mean)
         kind = "convex" if index == 2 else "linear"
     elif index == 4:
-        T = _groups(_s_multi(Y, 30.0, 10.0, 0.35), m, k, _r_sum_uniform)
+        T = _groups(_s_multi(Y, 30.0, 10.0, 0.35), m, k, _r_mean)
     elif index == 5:
-        T = _groups(_s_decept(Y), m, k, _r_sum_uniform)
+        T = _groups(_s_decept(Y), m, k, _r_mean)
     elif index == 6:
         Y[:, k:] = _s_linear(Y[:, k:])
         T = _groups(Y, m, k, _r_nonsep)
     elif index == 7:
-        for i in range(k):
-            Y[:, i] = _b_param(Y[:, i], _r_sum_uniform(Y[:, i + 1:]))
+        Y[:, :k] = _b_param(Y[:, :k], _means(Y, [(i + 1, n) for i in range(k)]))
         Y[:, k:] = _s_linear(Y[:, k:])
-        T = _groups(Y, m, k, _r_sum_uniform)
+        T = _groups(Y, m, k, _r_mean)
     elif index == 8:
-        cols = [_b_param(Y[:, i], _r_sum_uniform(Y[:, :i])) for i in range(k, n)]
-        Y[:, k:] = _s_linear(np.column_stack(cols))
-        T = _groups(Y, m, k, _r_sum_uniform)
+        Y[:, k:] = _s_linear(_b_param(Y[:, k:], _means(Y, [(0, i) for i in range(k, n)])))
+        T = _groups(Y, m, k, _r_mean)
     elif index == 9:
-        cols = [_b_param(Y[:, i], _r_sum_uniform(Y[:, i + 1:])) for i in range(n - 1)]
-        Y[:, : n - 1] = np.column_stack(cols)
+        Y[:, : n - 1] = _b_param(Y[:, : n - 1], _means(Y, [(i + 1, n) for i in range(n - 1)]))
         Y[:, :k] = _s_decept(Y[:, :k])
         Y[:, k:] = _s_multi(Y[:, k:], 30.0, 95.0, 0.35)
         T = _groups(Y, m, k, _r_nonsep)
@@ -215,7 +236,7 @@ def wfg_evaluate(index: int, X: np.ndarray, m: int, k: int) -> np.ndarray:
         H[:, -1] = _shape_mixed(P[:, 0])
     elif index == 2:
         H[:, -1] = _shape_disconnected(P[:, 0])
-    return T[:, -1:] + np.arange(2, 2 * m + 1, 2, dtype=np.float64) * H
+    return T[:, -1:] + _scales(m) * H
 
 
 # --- Pareto-optimal decision construction ------------------------------------
