@@ -272,8 +272,9 @@ def _indicator_values(pap: PapRunResult, entry: ManifestEntry, wanted) -> dict[s
 
 def _experiment_job(job: _Job) -> list[tuple[PapRunResult, dict[str, float], float]]:
     """``(run, indicator values, wall_ms)`` per portfolio, over one store of
-    member runs: ``wall_ms`` is the stored wall time of each member run the
-    portfolio reads, shared or not, plus its own output rule."""
+    member runs: ``wall_ms`` is the stored engine time of each member run
+    the portfolio reads, shared or not, plus its own time outside those
+    engine calls (scoring the runs it made, its output rule)."""
     problem, budget = problems.get_problem(job.entry.name), job.entry.budget
     runs = MemberRuns(job.runner)
     out = []

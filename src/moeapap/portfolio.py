@@ -150,11 +150,12 @@ def output_rule(runs, cap: int, problem_name: str) -> PapRunResult:
 
 
 class MemberRuns:
-    """The ``(result, ihvr, failure)`` triple and wall time in seconds of each
-    run of one runner, by (config fingerprint, problem name, budget, run
-    seed); the hit count; the failures as ``(label, problem, message)`` in
-    first-run order.  ``runner`` (the budget variants, the tests' synthetic
-    members) replaces ``algorithms.run``, which is looked up per run."""
+    """The ``(result, ihvr, failure)`` triple and the engine call's wall time
+    in seconds of each run of one runner, by (config fingerprint, problem
+    name, budget, run seed); the hit count; the failures as ``(label,
+    problem, message)`` in first-run order.  ``runner`` (the budget
+    variants, the tests' synthetic members) replaces ``algorithms.run``,
+    which is looked up per run."""
 
     def __init__(self, runner=None):
         self.runner = runner
@@ -174,16 +175,20 @@ class MemberRuns:
         if key in self.runs:
             self.hits += 1
             return self.runs[key]
+        run, run_seed, failure = self.runner or algorithms.run, member_seed(seed, config), None
         start = time.perf_counter()
         try:
-            result = (self.runner or algorithms.run)(config, problem, budget, member_seed(seed, config))
+            result = run(config, problem, budget, run_seed)
         except Exception as exc:  # noqa: BLE001 - candidate exclusion is the contract
-            self.failures.append((config.label(), problem.name, f"{type(exc).__name__}: {exc}"))
-            self.runs[key] = None, None, self.failures[-1][2]
+            failure = f"{type(exc).__name__}: {exc}"
+        # the clock covers the engine call only, not the scoring below
+        self.wall_s[key] = time.perf_counter() - start
+        if failure is not None:
+            self.failures.append((config.label(), problem.name, failure))
+            self.runs[key] = None, None, failure
         else:
             ctx = indicators.HvContext.for_problem(problem.name)
             self.runs[key] = result, indicators.ihvr(result.solution_set, ctx), None
-        self.wall_s[key] = time.perf_counter() - start
         return self.runs[key]
 
 

@@ -1,8 +1,11 @@
 """Restructure oracle equivalence and the portfolio output rule."""
 
+import time
+
 import numpy as np
 import pytest
 
+from moeapap import indicators
 from moeapap.algorithms import AlgorithmConfig, RunBudget, RunResult
 from moeapap.core import ContractViolationError, SolutionSet
 from moeapap.portfolio import (
@@ -198,3 +201,23 @@ class TestRunPap:
         with pytest.raises(ContractViolationError):
             run_pap(Portfolio((_cfg_nsga2(),)), get_problem("ZDT1"), RunBudget(10, 1),
                     seed=0, runs=MemberRuns(runner))
+
+
+class TestMemberRuns:
+    def test_wall_time_covers_the_engine_call_only(self, monkeypatch):
+        # the reference context is built once per process, on the first
+        # scoring of a problem's run; that build is not the member run's time
+        build = indicators.HvContext.for_problem
+        slept = []
+
+        def slow_first_build(name):
+            if not slept:
+                slept.append(name)
+                time.sleep(0.3)
+            return build(name)
+
+        monkeypatch.setattr(indicators.HvContext, "for_problem", slow_first_build)
+        runs = MemberRuns(synthetic_runner({_cfg_nsga2().fingerprint(): [[0.5, 0.5]]}))
+        triple = runs.get(_cfg_nsga2(), get_problem("ZDT1"), RunBudget(10, 1), seed=0)
+        assert slept and triple[1] is not None
+        assert list(runs.wall_s.values())[0] < 0.1
