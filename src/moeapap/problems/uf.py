@@ -19,6 +19,9 @@ _J2 = np.arange(2, N_VARS + 1, 2)  # even j
 _K_BLOCKS = [[j for j in range(3, N_VARS + 1) if (j - r) % 3 == 0] for r in (1, 2, 0)]
 _K = np.concatenate(_K_BLOCKS)
 _K_EDGES = np.cumsum([0] + [len(b) for b in _K_BLOCKS])
+# the zero-based columns of x_j and the phases j pi / 30 of their y-terms
+_K_COLS = _K - 1
+_K_PHASES = _K * np.pi / N_VARS
 # each block's sum enters its objective scaled by 2/|K_i|
 _K_SCALES = 2.0 / np.diff(_K_EDGES)
 
@@ -102,7 +105,7 @@ def _k_terms(X: np.ndarray, h) -> np.ndarray:
     """(n, 3): 2/|K_i| times the sum over j in K_i of h(y_j), where
     y_j = x_j - 2 x_2 sin(2 pi x_1 + j pi / 30); every y_j comes from one
     gather and one ``sin`` over the 28 columns."""
-    Y = h(X[:, _K - 1] - 2.0 * X[:, 1:2] * np.sin(2.0 * np.pi * X[:, :1] + _K * np.pi / N_VARS))
+    Y = h(X[:, _K_COLS] - 2.0 * X[:, 1:2] * np.sin(2.0 * np.pi * X[:, :1] + _K_PHASES))
     sums = np.column_stack([Y[:, a:b].sum(axis=1) for a, b in zip(_K_EDGES[:-1], _K_EDGES[1:])])
     return _K_SCALES * sums
 
@@ -111,7 +114,8 @@ def _sphere(X: np.ndarray) -> np.ndarray:
     # UF8 and UF10's position part: the unit sphere's octant in x_1, x_2
     a = 0.5 * np.pi * X[:, 0]
     b = 0.5 * np.pi * X[:, 1]
-    return np.column_stack((np.cos(a) * np.cos(b), np.cos(a) * np.sin(b), np.sin(a)))
+    cos_a = np.cos(a)
+    return np.column_stack((cos_a * np.cos(b), cos_a * np.sin(b), np.sin(a)))
 
 
 def uf8(X: np.ndarray) -> np.ndarray:
