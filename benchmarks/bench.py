@@ -9,9 +9,10 @@ Every row is built from a package object:
   ``_GridArchive.insert`` per offered row (n noisy ZDT1-front rows fed in
   blocks of n/4 into an archive of capacity n/4, 10 grid divisions): the
   best of ``KERNEL_CALLS`` calls;
-* ``Problem.evaluate`` of ZDT1, DTLZ2, UF9, WFG4 and WFG9 on one fixed
-  batch of ``EVALUATE_ROWS`` rows inside the bounds: the best of
-  ``KERNEL_CALLS`` calls;
+* ``Problem.evaluate`` of the eight problems of perfbench's ``desk-ga``
+  unit, WFG6 and WFG9 on one fixed batch of ``EVALUATE_ROWS`` rows inside
+  the bounds, about the size of a desk-scale engine's batches: the best
+  of ``KERNEL_CALLS`` calls;
 * six engine configurations on ZDT1 at 100x250 and WFG4 at 150x250, and
   one ``run_pap`` of perfbench's pap3 portfolio on each, with its members'
   engine times: the median over seeds 0..repeats-1;
@@ -63,7 +64,8 @@ import workloads  # noqa: E402  perfbench's workload definitions, read only
 KERNELS = ("nd_mask", "nds_ranks", "crowding", "hv2d", "hv3d", "mean_min_dist", "count_dominated")
 SIZES = (200, 600, 1500)
 KERNEL_CALLS = 15
-EVALUATE_PROBLEMS = ("ZDT1", "DTLZ2", "UF9", "WFG4", "WFG9")
+# the desk-ga problems, then two WFG problems with non-separable reductions
+EVALUATE_PROBLEMS = (*workloads.DESK_TRAIN, *workloads.DESK_TEST, "WFG6", "WFG9")
 EVALUATE_ROWS = 20
 CONFIGS = {
     "nsga2/sbx_pm": ("NSGA2", "sbx_pm", {"eta_sbx": 20, "eta_pm": 20}),
