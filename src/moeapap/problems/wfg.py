@@ -14,11 +14,16 @@ from functools import lru_cache
 import numpy as np
 
 
+def _frozen(*arrays):
+    # results of the cached helpers below are shared by every caller
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays[0] if len(arrays) == 1 else arrays
+
+
 @lru_cache(maxsize=None)
 def upper_bounds(n_vars: int) -> np.ndarray:
-    ub = 2.0 * np.arange(1, n_vars + 1, dtype=np.float64)
-    ub.flags.writeable = False
-    return ub
+    return _frozen(2.0 * np.arange(1, n_vars + 1, dtype=np.float64))
 
 
 def validate_split(n_vars: int, m: int, k: int, l: int) -> None:
@@ -97,7 +102,7 @@ def _r_mean(Y):
 def _nonsep_pairs(A: int):
     # row j: the column j, then the A-1 columns (j + 1 + s) mod A
     j = np.arange(A)
-    return j[:, None], (j[:, None] + j[1:]) % A
+    return _frozen(j[:, None], (j[:, None] + j[1:]) % A)
 
 
 def _r_nonsep(Y):
@@ -182,7 +187,7 @@ def _means(Y: np.ndarray, spans) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _scales(m: int) -> np.ndarray:
     # the objective scales S_i = 2i
-    return np.arange(2, 2 * m + 1, 2, dtype=np.float64)
+    return _frozen(np.arange(2, 2 * m + 1, 2, dtype=np.float64))
 
 
 # --- per-problem objective pipelines ----------------------------------------
@@ -195,9 +200,9 @@ def wfg_evaluate(index: int, X: np.ndarray, m: int, k: int) -> np.ndarray:
     Y = X / upper_bounds(n)
 
     # each problem's transformations end in its m group values T; WFG4-9
-    # share the concave front, WFG1-3 pick their own shape.  The b_param
-    # columns of WFG7-9 all read the columns as they were before the loop,
-    # so one _b_param call transforms them together
+    # share the concave front, WFG1-3 pick their own shape.  Each b_param
+    # column of WFG7-9 reads the other columns as they were before any
+    # b_param, so one _b_param call transforms them all
     kind = "concave"
     if index == 1:
         Y[:, k:] = _b_flat(_s_linear(Y[:, k:]), 0.8, 0.75, 0.85)

@@ -31,6 +31,19 @@ def correct_to_01_two_where(X, eps=1.0e-10):
     return np.where((X > 1) & (X <= 1 + eps), 1.0, X)
 
 
+def r_nonsep_double_loop(Y, eps=1.0e-10):
+    """The WFG toolkit's corrected non-separable reduction of each row of
+    ``Y`` (n, A), added term by term in the toolkit's double loop."""
+    n, A = Y.shape
+    val = np.ceil(A / 2.0)
+    num = np.zeros(n)
+    for j in range(A):
+        num += Y[:, j]
+        for s in range(A - 1):
+            num += np.abs(Y[:, j] - Y[:, (1 + j + s) % A])
+    return correct_to_01_two_where(num / (val * (1.0 + 2.0 * A - 2.0 * val)), eps)
+
+
 def brute_force_nd_indices(F):
     """O(n^2) all-pairs dominance oracle."""
     n = len(F)

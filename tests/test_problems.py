@@ -15,9 +15,9 @@ from moeapap.problems import (
     reference_front,
     sample_reference_front,
 )
-from moeapap.problems.wfg import _correct_to_01, upper_bounds, wfg_evaluate
+from moeapap.problems.wfg import _correct_to_01, _r_nonsep, upper_bounds, wfg_evaluate
 
-from .oracles import correct_to_01_two_where
+from .oracles import correct_to_01_two_where, r_nonsep_double_loop
 
 ALL_NAMES = available_problems()
 
@@ -204,6 +204,21 @@ class TestWfgCorrection:
         for X in inputs:
             got, want = _correct_to_01(X), correct_to_01_two_where(X)
             assert got.shape == want.shape and got.tobytes() == want.tobytes(), X
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 8])
+    def test_nonsep_matches_double_loop_bitwise(self, width):
+        # every group of equal width at once, against the toolkit's loop per
+        # group, on values in and just outside [0, 1] and signed zeros (a
+        # NaN's sign bit follows numpy's loop layout, not the arithmetic)
+        rng = rng_for("nonsep", width)
+        finite = self.GRID[np.isfinite(self.GRID) & (np.abs(self.GRID) < 10)]
+        for n, groups in ((1, 1), (5, 4), (17, 2), (33, 3)):
+            Y = np.where(rng.random((n, groups * width)) < 0.4,
+                         rng.choice(finite, (n, groups * width)), rng.random((n, groups * width)))
+            got = _correct_to_01(_r_nonsep(Y.reshape(n, groups, width)))
+            want = np.column_stack([r_nonsep_double_loop(Y[:, g * width:(g + 1) * width])
+                                    for g in range(groups)])
+            assert got.tobytes() == want.tobytes(), (n, groups)
 
 
 class TestReferenceFronts:
