@@ -49,22 +49,29 @@ def _dom_matrix(F):
     return dom
 
 
-def nds_ranks(F):
-    # Deb's fast non-dominated sort, returning the rank (front index) per row
+def nds_fronts(F, min_rows=None):
+    # Deb's fast non-dominated sort: the fronts (ascending row indices) in
+    # rank order, peeled until they hold at least min_rows rows (all by default)
     n = F.shape[0]
     dom = _dom_matrix(F)
-    count = dom.sum(axis=0).astype(np.int64)
-    ranks = np.full(n, -1, dtype=np.int64)
-    rank = 0
-    current = np.nonzero(count == 0)[0]
-    count[current] = -1
-    while current.size:
-        ranks[current] = rank
-        released = dom[current].sum(axis=0)
-        count -= released
-        current = np.nonzero(count == 0)[0]
+    count = dom.sum(axis=0)
+    current = np.flatnonzero(count == 0)
+    fronts = [current]
+    left = (n if min_rows is None else min(min_rows, n)) - current.size
+    while left > 0:
         count[current] = -1
-        rank += 1
+        count -= dom[current].sum(axis=0)
+        current = np.flatnonzero(count == 0)
+        fronts.append(current)
+        left -= current.size
+    return fronts
+
+
+def nds_ranks(F):
+    # the rank (front index) of every row
+    ranks = np.empty(F.shape[0], dtype=np.int64)
+    for rank, front in enumerate(nds_fronts(F)):
+        ranks[front] = rank
     return ranks
 
 

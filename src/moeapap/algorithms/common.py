@@ -33,21 +33,20 @@ def crowding_by_front(F: np.ndarray, ranks: np.ndarray) -> np.ndarray:
 def environmental_select(F: np.ndarray, pop_size: int) -> tuple[np.ndarray, np.ndarray]:
     """NSGA-II survival: fill whole fronts, crowd-truncate the split front.
 
-    Returns the survivors' indices and their front ranks.  The survivors
-    are whole fronts plus part of the next, so their ranks among
-    themselves equal their ranks in ``F``.
+    Returns the survivors' indices, front by front, and their front ranks.
+    The sort is asked for ``pop_size`` rows, so it stops at the split front
+    (the one that fills the population) and ranks no front that survival
+    would drop.  The survivors are whole fronts plus part of the split
+    front, so their ranks among themselves equal their ranks in ``F``.
     """
-    chosen: list[int] = []
-    ranks: list[int] = []
-    for r, front in enumerate(fast_nondominated_sort(F)):
-        remaining = pop_size - len(chosen)
-        if front.size > remaining:
-            front = front[crowding_truncate_indices(F[front], remaining)]
-        chosen.extend(front.tolist())
-        ranks.extend([r] * front.size)
-        if len(chosen) == pop_size:
-            break
-    return np.asarray(chosen, dtype=np.int64), np.asarray(ranks, dtype=np.int64)
+    fronts = fast_nondominated_sort(F, pop_size)
+    sizes = [front.size for front in fronts]
+    room = pop_size - sum(sizes[:-1])
+    if sizes[-1] > room:
+        split = fronts[-1]
+        fronts[-1] = split[crowding_truncate_indices(F[split], room)]
+        sizes[-1] = room
+    return np.concatenate(fronts), np.repeat(np.arange(len(fronts)), sizes)
 
 
 def binary_tournament(ranks: np.ndarray, crowd: np.ndarray, n: int, rng) -> np.ndarray:
@@ -80,11 +79,17 @@ def shuffled_pools(allowed: np.ndarray, rng) -> np.ndarray:
     return np.argsort(keys, axis=1)
 
 
+def require_donors(fewest: int, k: int) -> None:
+    """Raise unless every row offers ``k`` donors, ``fewest`` being the
+    smallest number any row offers."""
+    if fewest < k:
+        raise ConfigurationError(f"population too small: need {k} distinct donors")
+
+
 def pick_donors(allowed: np.ndarray, k: int, rng) -> np.ndarray:
     """``k`` distinct donors per row, drawn uniformly from the row's allowed
     columns without replacement, in random order."""
-    if (allowed.sum(axis=1) < k).any():
-        raise ConfigurationError(f"population too small: need {k} distinct donors")
+    require_donors(allowed.sum(axis=1).min(), k)
     return shuffled_pools(allowed, rng)[:, :k]
 
 
@@ -96,17 +101,20 @@ def de_offspring(
     X: np.ndarray,
     first_front: np.ndarray,
     params: operators.DeParams,
+    not_self: np.ndarray,
     bounds: np.ndarray,
     rng,
 ) -> np.ndarray:
     """One DE trial per row of ``X``, with that row as the target.
 
-    Donors are sampled uniformly without replacement from the other rows;
-    the population-best donor of the best/ variants is a random member of
-    the current first non-dominated front.
+    Donors are sampled uniformly without replacement from the other rows,
+    ``not_self`` being the negated identity matrix of the population's
+    size; the caller has checked with :func:`require_donors` that there
+    are enough of them.  The population-best donor of the best/ variants
+    is a random member of the current first non-dominated front.
     """
     n = X.shape[0]
-    picked = pick_donors(~np.eye(n, dtype=bool), n_donors(params), rng)
+    picked = shuffled_pools(not_self, rng)[:, :n_donors(params)]
     if params.uses_best:
         base = X[first_front[rng.integers(first_front.size, size=n)]]
         pairs = picked

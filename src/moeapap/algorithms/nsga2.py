@@ -12,27 +12,33 @@ import numpy as np
 
 from .. import _kernels, operators
 from ..core import ConfigurationError, SolutionSet
-from . import SBX_PM, AlgorithmConfig, RunBudget
+from . import AlgorithmConfig, RunBudget
 from .common import (
     binary_tournament,
     crowding_by_front,
     de_offspring,
     environmental_select,
     init_population,
+    n_donors,
+    require_donors,
     variation_params,
 )
 
 
 def run_nsga2(problem, config: AlgorithmConfig, budget: RunBudget, rng) -> tuple[SolutionSet, int]:
     pop = budget.pop_size
-    if config.operator == SBX_PM and pop < 4:
+    sbx, pm, de = variation_params(config, problem.n_vars)
+    if de is None and pop < 4:
         raise ConfigurationError("SBX pairing needs a population of at least 4")
+    if de is not None:
+        # the donor pools are the same every generation: each row's other rows
+        require_donors(pop - 1, n_donors(de))
+        not_self = ~np.eye(pop, dtype=bool)
     bounds = problem.bounds
 
     X = init_population(problem, pop, rng)
     F = problem.evaluate(X)
     ranks = _kernels.nds_ranks(np.ascontiguousarray(F))
-    sbx, pm, de = variation_params(config, problem.n_vars)
 
     for _ in range(budget.max_generations):
         if de is None:
@@ -43,7 +49,7 @@ def run_nsga2(problem, config: AlgorithmConfig, budget: RunBudget, rng) -> tuple
             children = np.stack((c1, c2), axis=1).reshape(parents.shape)[:pop]
             children = operators.polynomial_mutation(children, pm, bounds, rng)
         else:
-            children = de_offspring(X, np.nonzero(ranks == 0)[0], de, bounds, rng)
+            children = de_offspring(X, np.nonzero(ranks == 0)[0], de, not_self, bounds, rng)
         F_children = problem.evaluate(children)
 
         X = np.vstack((X, children))

@@ -66,13 +66,19 @@ def nondominated_indices(F) -> np.ndarray:
     return np.nonzero(_kernels.nd_mask(arr))[0]
 
 
-def fast_nondominated_sort(F) -> list[np.ndarray]:
-    """Partition rows of ``F`` into Pareto fronts (rank 0 first)."""
+def fast_nondominated_sort(F, min_rows: int | None = None) -> list[np.ndarray]:
+    """Partition rows of ``F`` into Pareto fronts (rank 0 first), each as
+    ascending row indices.
+
+    With ``min_rows`` the sort stops peeling at the first front that brings
+    the count to ``min_rows`` rows or more, and returns that shortest prefix
+    of the full list of fronts; (mu+lambda) survival passes its population
+    size, because fronts past the one that fills it are never kept.
+    """
     arr = as_objectives(F)
     if arr.shape[0] == 0:
         return []
-    ranks = _kernels.nds_ranks(arr)
-    return [np.nonzero(ranks == r)[0] for r in range(int(ranks.max()) + 1)]
+    return _kernels.nds_fronts(arr, min_rows)
 
 
 def crowding_truncate_indices(F, k: int) -> np.ndarray:
