@@ -26,11 +26,9 @@ distance variables at their optimum (0.35 times the upper bound on WFG1-7),
 where WFG1's ``_b_flat`` lands a hair below 0 and its ``_correct_to_01``
 acts, and of ``Problem.evaluate`` of every registered problem on 24 rows
 whose variables sit on a bound or ``_BOUNDS_EPS``/2 beyond it, which
-``evaluate`` still accepts: there WFG corrections act on values on both
-sides of [0, 1] and leave values further out alone, and some problems
-return NaN.  Digests depend on the numpy build, so numpy's version is recorded
-too.  ``tests/test_golden.py`` recomputes everything through ``compute()``
-and compares.  A change that alters outputs on purpose
+``evaluate`` accepts and clamps onto the bound.  Digests depend on the
+numpy build, so numpy's version is recorded too.  ``tests/test_golden.py``
+recomputes everything through ``compute()`` and compares.  A change that alters outputs on purpose
 reruns this script in the same commit and names the changed keys:
 
     PYTHONPATH=src python scripts/update_golden_digests.py
@@ -121,9 +119,9 @@ def _edge_digest(problem) -> str:
     """sha256 of ``problem.evaluate`` on 24 rows at the edges of its bounds:
     four rows with every variable at ``lo - _BOUNDS_EPS/2``, ``lo``, ``hi``
     and ``hi + _BOUNDS_EPS/2``, then 20 rows where each variable takes one of
-    those four values or a seeded value inside the bounds.  Rows beyond the
-    bounds can give NaN (a square root or fractional power of a value just
-    below 0); the digest records it."""
+    those four values or a seeded value inside the bounds.  ``evaluate``
+    clamps the values beyond a bound onto it, so these rows evaluate as
+    rows on the bounds do."""
     rng = np.random.default_rng(SEED)
     lo, hi = problem.bounds[:, 0], problem.bounds[:, 1]
     edges = np.array([lo - _BOUNDS_EPS / 2, lo, hi, hi + _BOUNDS_EPS / 2])
@@ -132,8 +130,7 @@ def _edge_digest(problem) -> str:
     X[:4] = edges
     X[4:] = np.where(pick < len(edges), np.take_along_axis(edges, np.minimum(pick, len(edges) - 1), 0),
                      X[4:])
-    with np.errstate(invalid="ignore"):
-        return hashlib.sha256(problem.evaluate(X).tobytes()).hexdigest()
+    return hashlib.sha256(problem.evaluate(X).tobytes()).hexdigest()
 
 
 def _optimum_digest(index: int) -> str:

@@ -54,16 +54,21 @@ class Problem:
     n_vars: int
     bounds: np.ndarray = field(repr=False)
     _fn: Callable[[np.ndarray], np.ndarray] = field(repr=False)
-    # the bounds ``evaluate`` checks against, widened by _BOUNDS_EPS
+    # contiguous copies of the bounds' columns, which ``evaluate`` compares against
     _lo: np.ndarray = field(init=False, repr=False, compare=False)
     _hi: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_lo", self.bounds[:, 0] - _BOUNDS_EPS)
-        object.__setattr__(self, "_hi", self.bounds[:, 1] + _BOUNDS_EPS)
+        object.__setattr__(self, "_lo", np.ascontiguousarray(self.bounds[:, 0]))
+        object.__setattr__(self, "_hi", np.ascontiguousarray(self.bounds[:, 1]))
 
     def evaluate(self, X) -> np.ndarray:
-        """Evaluate one decision vector or a batch of rows."""
+        """Evaluate one decision vector or a batch of rows.
+
+        A variable up to ``_BOUNDS_EPS`` beyond its bound is clamped onto
+        the bound first, so it evaluates as the bound does; one further out
+        is an error.
+        """
         arr = np.asarray(X, dtype=np.float64)
         single = arr.ndim == 1
         if single:
@@ -72,8 +77,11 @@ class Problem:
             raise ContractViolationError(
                 f"{self.name} expects {self.n_vars} variables, got {arr.shape[1]}"
             )
-        if ((arr < self._lo) | (arr > self._hi)).any():
-            raise ContractViolationError(f"decision vector out of bounds for {self.name}")
+        lo, hi = self._lo, self._hi
+        if ((arr < lo) | (arr > hi)).any():
+            if ((arr < lo - _BOUNDS_EPS) | (arr > hi + _BOUNDS_EPS)).any():
+                raise ContractViolationError(f"decision vector out of bounds for {self.name}")
+            arr = np.clip(arr, lo, hi)
         F = self._fn(arr)
         return F[0] if single else F
 

@@ -7,6 +7,7 @@ from moeapap._kernels import nd_mask
 from moeapap._seeding import rng_for
 from moeapap.core import ContractViolationError
 from moeapap.problems import (
+    _BOUNDS_EPS,
     UnsupportedProblemError,
     available_problems,
     default_budget,
@@ -60,6 +61,25 @@ class TestRegistry:
         x[0] = 1.5
         with pytest.raises(ContractViolationError):
             p.evaluate(x)
+
+    @pytest.mark.parametrize("name", ALL_NAMES)
+    def test_rows_within_tolerance_evaluate_as_the_bound(self, name):
+        # a variable up to _BOUNDS_EPS beyond its bound is clamped onto the
+        # bound, in a batch beside an inside row and as a single row, without
+        # changing the caller's array; further out is still an error
+        p = get_problem(name)
+        lo, hi = p.bounds[:, 0], p.bounds[:, 1]
+        mid = (lo + hi) / 2
+        X = np.array([mid, lo - _BOUNDS_EPS / 2, hi + _BOUNDS_EPS / 2])
+        given = X.copy()
+        F = p.evaluate(X)
+        assert np.isfinite(F).all()
+        assert np.array_equal(F, p.evaluate(np.array([mid, lo, hi])))
+        assert np.array_equal(p.evaluate(X[1]), F[1])
+        assert np.array_equal(X, given)
+        X[1, -1] = lo[-1] - 2 * _BOUNDS_EPS
+        with pytest.raises(ContractViolationError):
+            p.evaluate(X)
 
     def test_wrong_dimension_rejected(self):
         with pytest.raises(ContractViolationError):
