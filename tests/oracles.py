@@ -195,6 +195,26 @@ def crowding_removal_order(F):
     return order
 
 
+def brute_force_survival(F, k):
+    """NSGA-II survival from the oracles: whole fronts of the full
+    ``brute_force_peel_ranks`` in rank order, each in input order, while
+    they fit in ``k``; the split front loses its first rows in
+    ``crowding_removal_order`` until the rest fit.  Returns the kept
+    indices and their ranks."""
+    ranks = brute_force_peel_ranks(F)
+    kept = []
+    for r in range(int(ranks.max()) + 1):
+        front = [i for i in range(len(F)) if ranks[i] == r]
+        room = k - len(kept)
+        if len(front) > room:
+            dropped = crowding_removal_order(F[front])[:len(front) - room]
+            front = [i for j, i in enumerate(front) if j not in dropped]
+        kept += front
+        if len(kept) == k:
+            break
+    return np.array(kept, dtype=np.int64), ranks[kept]
+
+
 class ListArchive:
     """The MOPSO grid archive kept as Python lists: dominance checked pair by
     pair, grid cells as coordinate tuples grouped in lexicographic order.

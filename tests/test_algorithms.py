@@ -23,6 +23,7 @@ from moeapap.problems import get_problem
 from .oracles import (
     ListArchive,
     brute_force_peel_ranks,
+    brute_force_survival,
     moead_one_child_at_a_time,
     pbest_replaced_by_rows,
 )
@@ -197,6 +198,29 @@ class TestNsga2:
             assert keep.size == k
             assert np.array_equal(ranks, brute_force_peel_ranks(F)[keep])
             assert np.array_equal(ranks, brute_force_peel_ranks(F[keep]))
+
+    def test_environmental_select_matches_brute_force_survival(self):
+        rng = np.random.default_rng(32)
+        cases = []
+        for m in (2, 3):
+            for n in (12, 40):
+                F = np.round(rng.random((n, m)), 1)  # ties and duplicates included
+                ranks = brute_force_peel_ranks(F)
+                fill = int((ranks <= 1).sum())  # the first two fronts fill it exactly
+                cases += [(F, k) for k in sorted({1, n // 2, fill, n})]
+            # 30 rows on one integer front, with duplicates, over 30 rows it
+            # dominates: the first front alone overfills a population of 20
+            i = rng.integers(0, 11, 30)
+            j = rng.integers(0, 11 - i) if m == 3 else 10 - i
+            front = np.column_stack((i, j, 10 - i - j) if m == 3 else (i, j)).astype(float)
+            F = np.vstack((front, front + 1.0 + rng.integers(0, 2, front.shape)))
+            cases += [(F, 20), (F, 30), (F, 60)]
+        for F, k in cases:
+            keep, ranks = environmental_select(F, k)
+            want_keep, want_ranks = brute_force_survival(F, k)
+            assert np.array_equal(keep, want_keep), (F, k)
+            assert np.array_equal(ranks, want_ranks), (F, k)
+            assert keep.dtype == ranks.dtype == np.int64
 
     def test_binary_tournament_rank_then_crowding_then_first(self):
         class Pairs:

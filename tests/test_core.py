@@ -16,6 +16,7 @@ from moeapap.core import (
 )
 
 from .oracles import brute_force_nd_indices, brute_force_peel_ranks
+from .test_kernels import assert_front_prefixes
 
 
 class TestDominates:
@@ -101,11 +102,8 @@ class TestFastNondominatedSort:
 
     def test_matches_peeling_oracle(self):
         rng = np.random.default_rng(13)
-        F = rng.random((100, 3))
-        ranks = np.full(len(F), -1)
-        for r, idx in enumerate(fast_nondominated_sort(F)):
-            ranks[idx] = r
-        assert np.array_equal(ranks, brute_force_peel_ranks(F))
+        for F in (rng.random((100, 3)), np.round(rng.random((270, 2)), 1)):
+            assert_front_prefixes(fast_nondominated_sort, F, brute_force_peel_ranks(F))
 
     def test_front0_matches_oracle_up_to_200(self):
         for seed, (n, m) in enumerate([(200, 2), (200, 3), (57, 3)]):

@@ -58,10 +58,27 @@ def test_nd_mask(m):
         assert np.array_equal(np.nonzero(_kernels.nd_mask(F))[0], brute_force_nd_indices(F))
 
 
+def assert_front_prefixes(sort, F, ranks):
+    """``sort(F)`` lists the fronts of the peeling ``ranks`` in rank order,
+    each as ascending row indices, and ``sort(F, stop)`` the shortest prefix
+    of that list holding at least ``stop`` rows, for every stop."""
+    full = [np.flatnonzero(ranks == r) for r in range(int(ranks.max()) + 1)]
+    filled = np.cumsum([front.size for front in full])
+    n = F.shape[0]
+    for stop in (None, *range(1, n + 2)):
+        want = full if stop is None else full[:int(np.searchsorted(filled, min(stop, n))) + 1]
+        got = sort(F) if stop is None else sort(F, stop)
+        assert len(got) == len(want), (n, stop)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b), (n, stop)
+
+
 @pytest.mark.parametrize("m", [2, 3])
 def test_nds_ranks(m):
     for F in _random_sets(2, m):
-        assert np.array_equal(_kernels.nds_ranks(F), brute_force_peel_ranks(F))
+        ranks = brute_force_peel_ranks(F)
+        assert np.array_equal(_kernels.nds_ranks(F), ranks)
+        assert_front_prefixes(_kernels.nds_fronts, F, ranks)
 
 
 @pytest.mark.parametrize("m", [2, 3])
