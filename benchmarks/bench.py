@@ -9,6 +9,10 @@ Every row is built from a package object:
   ``_GridArchive.insert`` per offered row (n noisy ZDT1-front rows fed in
   blocks of n/4 into an archive of capacity n/4, 10 grid divisions): the
   best of ``KERNEL_CALLS`` calls;
+* NSGA-II's ``environmental_select`` keeping half of 60 rows at m = 2
+  and m = 3 (a desk-scale population of 30 plus its children) and of 200
+  rows at m = 2 (the ``pap3-zdt1`` population of 100): the best of
+  ``KERNEL_CALLS`` calls;
 * ``Problem.evaluate`` of the eight problems of perfbench's ``desk-ga``
   unit, WFG6 and WFG9 on one fixed batch of ``EVALUATE_ROWS`` rows inside
   the bounds, about the size of a desk-scale engine's batches: the best
@@ -64,6 +68,8 @@ import workloads  # noqa: E402  perfbench's workload definitions, read only
 KERNELS = ("nd_mask", "nds_ranks", "crowding", "hv2d", "hv3d", "mean_min_dist", "count_dominated")
 SIZES = (200, 600, 1500)
 KERNEL_CALLS = 15
+# (rows, objectives) of the environmental_select rows
+SURVIVAL_SIZES = ((60, 2), (60, 3), (200, 2))
 # the desk-ga problems, then two WFG problems with non-separable reductions
 EVALUATE_PROBLEMS = (*workloads.DESK_TRAIN, *workloads.DESK_TEST, "WFG6", "WFG9")
 EVALUATE_ROWS = 20
@@ -220,6 +226,11 @@ def _rows(repeats: int, workdir: Path):
     for n in SIZES:
         rows.append((f"archive.insert/{n}", _archive_row(*_front_stream(n, rng)), KERNEL_CALLS,
                      lambda times, n=n: min(times) / n))
+    for n, m in SURVIVAL_SIZES:
+        survival = (_survival_input(n, m, rng), n // 2)
+        rows.append((f"environmental_select/{n}x{m}",
+                     _function_row("algorithms.common", "environmental_select", survival),
+                     KERNEL_CALLS, min))
     rows += [(f"evaluate/{name}", _evaluate_row(name), KERNEL_CALLS, min) for name in EVALUATE_PROBLEMS]
     for problem, budget in BUDGETS.items():
         rows += [(f"{problem}/{name}", _engine_row(spec, problem, budget), repeats, statistics.median)
@@ -270,6 +281,14 @@ def _front_stream(n: int, rng):
     t = rng.random(n)
     F = np.column_stack((t, 1.0 - np.sqrt(t))) + 0.05 * rng.random((n, 2))
     return rng.random((n, 30)), F
+
+
+def _survival_input(n: int, m: int, rng):
+    # rows in a band above the unit sphere's positive orthant, thinning
+    # away from it, so that the fronts are like those of an NSGA-II parent
+    # plus child union: at 60x2 about six fronts, of which survival keeps two
+    d = rng.random((n, m))
+    return d / np.linalg.norm(d, axis=1, keepdims=True) * (1.0 + 0.2 * rng.random((n, 1)) ** 2)
 
 
 def _evaluate_counts(package, spec, problem: str, budget, seed: int) -> tuple[int, int]:
