@@ -28,8 +28,9 @@ acts, and of ``Problem.evaluate`` of every registered problem on 24 rows
 whose variables sit on a bound or ``_BOUNDS_EPS``/2 beyond it, which
 ``evaluate`` accepts and clamps onto the bound.  Digests depend on the
 numpy build, so numpy's version is recorded too.  ``tests/test_golden.py``
-recomputes everything through ``compute()`` and compares.  A change that alters outputs on purpose
-reruns this script in the same commit and names the changed keys:
+recomputes everything through ``compute()`` and compares.  A change that
+alters outputs on purpose reruns this script in the same commit and names
+the changed keys:
 
     PYTHONPATH=src python scripts/update_golden_digests.py
 """
