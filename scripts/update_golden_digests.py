@@ -26,7 +26,10 @@ distance variables at their optimum (0.35 times the upper bound on WFG1-7),
 where WFG1's ``_b_flat`` lands a hair below 0 and its ``_correct_to_01``
 acts, and of ``Problem.evaluate`` of every registered problem on 24 rows
 whose variables sit on a bound or ``_BOUNDS_EPS``/2 beyond it, which
-``evaluate`` accepts and clamps onto the bound.  Digests depend on the
+``evaluate`` accepts and clamps onto the bound, and of ``wfg_evaluate``
+itself, without that clamp, on 24 rows per WFG problem whose variables sit
+at 0, at the upper bound or a hair above it, where the toolkit's
+``_correct_to_01`` calls act.  Digests depend on the
 numpy build, so numpy's version is recorded too.  ``tests/test_golden.py``
 recomputes everything through ``compute()`` and compares.  A change that
 alters outputs on purpose reruns this script in the same commit and names
@@ -134,6 +137,24 @@ def _edge_digest(problem) -> str:
     return hashlib.sha256(problem.evaluate(X).tobytes()).hexdigest()
 
 
+def _upper_digest(index: int) -> str:
+    """sha256 of ``wfg.wfg_evaluate(index, X, m=3, k=4)`` on 24 rows: four
+    with every variable at 0, at its upper bound ``hi``, at
+    ``hi * (1 + 5e-11)`` and at ``hi * (1 + 1e-12)``, then 20 where each
+    variable takes one of those four values or a seeded value inside the
+    bounds.  No value lies below 0, where the fractional powers of
+    ``_b_poly`` and ``_b_param`` give NaN."""
+    rng = np.random.default_rng(SEED)
+    hi = wfg.upper_bounds(12)
+    edges = np.array([0.0 * hi, hi, hi * (1 + 5e-11), hi * (1 + 1e-12)])
+    X = hi * rng.random((24, 12))
+    pick = rng.integers(0, len(edges) + 1, (20, 12))
+    X[:4] = edges
+    X[4:] = np.where(pick < len(edges), np.take_along_axis(edges, np.minimum(pick, len(edges) - 1), 0),
+                     X[4:])
+    return hashlib.sha256(wfg.wfg_evaluate(index, X, m=3, k=4).tobytes()).hexdigest()
+
+
 def _optimum_digest(index: int) -> str:
     """sha256 of ``WFG<index>``'s ``Problem.evaluate`` on 24 Pareto-optimal
     rows: 16 seeded position vectors, then 8 with a seeded half of the
@@ -232,6 +253,7 @@ def compute() -> dict:
         "compare": _compare(),
         "wfg_optimum": {f"WFG{i}": _optimum_digest(i) for i in range(1, 10)},
         "problem_evaluate_edge": {name: _edge_digest(get_problem(name)) for name in available_problems()},
+        "wfg_evaluate_upper": {f"WFG{i}": _upper_digest(i) for i in range(1, 10)},
     }
 
 
