@@ -13,6 +13,9 @@ Every row is built from a package object:
   and m = 3 (a desk-scale population of 30 plus its children) and of 200
   rows at m = 2 (the ``pap3-zdt1`` population of 100): the best of
   ``KERNEL_CALLS`` calls;
+* ``stats.wilcoxon_rank_sum`` on two continuous samples of 10 (the exact
+  path) and of 30 (the normal approximation): the best of
+  ``KERNEL_CALLS`` calls;
 * ``Problem.evaluate`` of the eight problems of perfbench's ``desk-ga``
   unit, WFG6 and WFG9 on one fixed batch of ``EVALUATE_ROWS`` rows inside
   the bounds, about the size of a desk-scale engine's batches: the best
@@ -70,6 +73,8 @@ SIZES = (200, 600, 1500)
 KERNEL_CALLS = 15
 # (rows, objectives) of the environmental_select rows
 SURVIVAL_SIZES = ((60, 2), (60, 3), (200, 2))
+# per-sample sizes of the rank-sum rows: pooled 20 is the exact path's limit
+WILCOXON_SIZES = (10, 30)
 # the desk-ga problems, then two WFG problems with non-separable reductions
 EVALUATE_PROBLEMS = (*workloads.DESK_TRAIN, *workloads.DESK_TEST, "WFG6", "WFG9")
 EVALUATE_ROWS = 20
@@ -230,6 +235,11 @@ def _rows(repeats: int, workdir: Path):
         survival = (_survival_input(n, m, rng), n // 2)
         rows.append((f"environmental_select/{n}x{m}",
                      _function_row("algorithms.common", "environmental_select", survival),
+                     KERNEL_CALLS, min))
+    # drawn after every earlier row's input, so those inputs stay as they were
+    for n in WILCOXON_SIZES:
+        rows.append((f"wilcoxon/{n}x{n}",
+                     _function_row("stats", "wilcoxon_rank_sum", (rng.random(n), rng.random(n))),
                      KERNEL_CALLS, min))
     rows += [(f"evaluate/{name}", _evaluate_row(name), KERNEL_CALLS, min) for name in EVALUATE_PROBLEMS]
     for problem, budget in BUDGETS.items():

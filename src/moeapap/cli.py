@@ -100,6 +100,10 @@ def _cmd_construct(args) -> int:
     given = algorithms.FOUNDATIONS if args.foundations is None else args.foundations.split(",")
     foundations = [f.strip().upper() for f in given if f.strip()]
     space = construction.ConfigSpace.for_foundations(*foundations)
+    # a bad output path fails before the runs, not after them
+    for path in (args.out, args.report):
+        if path:
+            Path(path).parent.mkdir(parents=True, exist_ok=True)
     portfolio, report = construction.construct(
         space,
         Z,
@@ -112,7 +116,6 @@ def _cmd_construct(args) -> int:
     construction.save_portfolio(portfolio, args.out)
     report_text = report.as_text()
     if args.report:
-        Path(args.report).parent.mkdir(parents=True, exist_ok=True)
         Path(args.report).write_text(report_text, encoding="utf-8")
     sys.stdout.write(report_text)
     print(f"constructed portfolio with {len(portfolio)} members -> {args.out}")
@@ -154,12 +157,9 @@ def _cmd_analyze_members(args) -> int:
     manifest = experiments.load_manifest(args.manifest or default_manifest("train"))
     portfolio = construction.load_portfolio(args.portfolio[0])
     analysis = experiments.member_analysis(
-        portfolio, manifest, repetitions=args.repetitions, master_seed=args.seed
+        portfolio, manifest, repetitions=args.repetitions, master_seed=args.seed,
+        output_dir=args.out_dir,
     )
-    outdir = Path(args.out_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    (outdir / "member_analysis.txt").write_text(analysis.as_text(), encoding="utf-8")
-    experiments.write_csv(outdir / "member_analysis.csv", analysis.as_csv_rows())
     sys.stdout.write(analysis.as_text())
     return 0
 

@@ -320,6 +320,8 @@ def run_experiment(cfg: ExperimentConfig) -> ResultTable:
 
     jobs = _jobs(portfolios, manifest.entries, cfg.repetitions, cfg.master_seed,
                  variant_runner(cfg.variant, cfg.n_factor), cfg.indicators)
+    outdir = Path(cfg.output_dir)
+    outdir.mkdir(parents=True, exist_ok=True)  # a bad path fails before the runs
     # the runs go in manifest order, the results in (portfolio, problem name, repetition) order
     done = sorted(zip(jobs, _map_jobs(jobs, cfg.workers)),
                   key=lambda run: (run[0].entry.name, run[0].repetition))
@@ -333,8 +335,6 @@ def run_experiment(cfg: ExperimentConfig) -> ResultTable:
             table.timings.append((run_id, name, job.entry.name, job.repetition, wall_ms))
             table.failures += _failures(name, portfolio, job, pap)
 
-    outdir = Path(cfg.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
     _write_results_csv(outdir / "results.csv", table)
     _write_timings_csv(outdir / "timings.csv", table)
     (outdir / "summary.txt").write_text(format_summary(table, cfg), encoding="utf-8")
@@ -479,13 +479,18 @@ def member_analysis(
     repetitions: int,
     master_seed: int = 0,
     runner=None,
+    output_dir=None,
 ) -> MemberAnalysis:
     """Mean per-member score, members-only score and full portfolio score
     per problem, averaged over repetitions with common random numbers.  A
-    failed member run scores 0 and is listed in ``failures``."""
+    failed member run scores 0 and is listed in ``failures``.  Given
+    ``output_dir``, the directory is made before the first run and the
+    analysis is written there as member_analysis.txt and .csv."""
     if repetitions < 1:
         raise ConfigurationError("repetitions must be at least 1")
     jobs = _jobs([portfolio], manifest.entries, repetitions, master_seed, runner)
+    if output_dir is not None:
+        Path(output_dir).mkdir(parents=True, exist_ok=True)
     sums: dict[str, np.ndarray] = {}  # member scores, then the two output rules
     failures = []
     for job, [(pap, _, _)] in zip(jobs, _map_jobs(jobs)):
@@ -494,8 +499,12 @@ def member_analysis(
         sums[job.entry.name] = sums.get(job.entry.name, 0.0) + np.asarray(scores)
         failures += _failures(portfolio.name, portfolio, job, pap)
     means = {name: (total / repetitions).tolist() for name, total in sums.items()}
-    return MemberAnalysis(
+    analysis = MemberAnalysis(
         [m.label() for m in portfolio.members], list(means),
         {name: m[:-2] for name, m in means.items()}, {name: m[-2] for name, m in means.items()},
         {name: m[-1] for name, m in means.items()}, failures,
     )
+    if output_dir is not None:
+        (Path(output_dir) / "member_analysis.txt").write_text(analysis.as_text(), encoding="utf-8")
+        write_csv(Path(output_dir) / "member_analysis.csv", analysis.as_csv_rows())
+    return analysis

@@ -1,14 +1,16 @@
 """Two-sided Wilcoxon rank-sum testing.
 
-Small samples (pooled size <= 20) get an exact p-value by enumerating all
-rank assignments over the midrank-tied pooled sample; larger samples use
-the normal approximation with tie correction and continuity correction.
+One ``np.unique`` over the pooled sample gives the tie blocks, and with
+them the midranks, the all-equal check and the tie term.  Small samples
+(pooled size <= 20) get an exact p-value: the null distribution of the
+rank sum is counted with the Mann-Whitney recurrence over subset sizes,
+on doubled midranks so every sum is an integer.  Larger samples use the
+normal approximation with tie correction and continuity correction.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import combinations
 
 import numpy as np
 
@@ -20,36 +22,19 @@ ALPHA = 0.05
 MIN_SAMPLE = 3
 
 
-def _midranks(pooled: np.ndarray) -> np.ndarray:
-    order = np.argsort(pooled, kind="mergesort")
-    ranks = np.empty(pooled.size)
-    sorted_vals = pooled[order]
-    i = 0
-    while i < pooled.size:
-        j = i
-        while j + 1 < pooled.size and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
-
-
-def _exact_two_sided(ranks: np.ndarray, n1: int, w: float) -> float:
-    # midranks are multiples of 1/2, so sums compare exactly after a tiny slack
-    values = ranks.tolist()
-    total = 0
-    at_most = 0
-    at_least = 0
-    eps = 1e-9
-    for combo in combinations(values, n1):
-        s = sum(combo)
-        total += 1
-        if s <= w + eps:
-            at_most += 1
-        if s >= w - eps:
-            at_least += 1
-    p = 2.0 * min(at_most, at_least) / total
-    return min(p, 1.0)
+def _exact_two_sided(doubled: np.ndarray, n1: int, w2: int) -> float:
+    # ways[k, s] counts the k-subsets of the ranks added so far whose doubled
+    # sum is s; adding rank r turns each (k - 1)-subset into a k-subset.  The
+    # right-hand side overlaps the rows it updates, and numpy copies it first,
+    # so each rank is counted at most once per subset.
+    width = int(doubled.sum()) + 1
+    ways = np.zeros((n1 + 1, width), dtype=np.int64)
+    ways[0, 0] = 1
+    for r in doubled.tolist():
+        ways[1:, r:] += ways[:-1, :width - r]
+    null = ways[n1]
+    at_most, at_least = int(null[:w2 + 1].sum()), int(null[w2:].sum())
+    return min(2.0 * min(at_most, at_least) / int(null.sum()), 1.0)
 
 
 def wilcoxon_rank_sum(a, b) -> tuple[float, float]:
@@ -62,26 +47,23 @@ def wilcoxon_rank_sum(a, b) -> tuple[float, float]:
     b = np.asarray(b, dtype=np.float64)
     if a.size < MIN_SAMPLE or b.size < MIN_SAMPLE:
         raise ContractViolationError(f"both samples need at least {MIN_SAMPLE} observations")
-    pooled = np.concatenate((a, b))
-    ranks = _midranks(pooled)
-    w = float(ranks[: a.size].sum())
     n1, n2 = a.size, b.size
     n = n1 + n2
+    _, block, counts = np.unique(np.concatenate((a, b)), return_inverse=True,
+                                 return_counts=True)
+    # a tie block of c values ending at sorted position e has midrank e - (c - 1) / 2
+    doubled = (2 * np.cumsum(counts) - counts + 1)[block]
+    w2 = int(doubled[:n1].sum())
+    w = w2 / 2.0
 
-    if (pooled == pooled[0]).all():
+    if counts.size == 1:
         return w, 1.0
 
     if n <= EXACT_LIMIT:
-        return w, _exact_two_sided(ranks, n1, w)
+        return w, _exact_two_sided(doubled, n1, w2)
 
-    mean = n1 * (n + 1) / 2.0
-    _, counts = np.unique(pooled, return_counts=True)
     tie_term = float((counts**3 - counts).sum()) / (n * (n - 1))
     var = n1 * n2 / 12.0 * ((n + 1) - tie_term)
-    if var <= 0.0:
-        return w, 1.0
-    diff = w - mean
-    correction = 0.5 * np.sign(diff)
-    z = (diff - correction) / math.sqrt(var)
-    p = 2.0 * 0.5 * math.erfc(abs(z) / math.sqrt(2.0))
-    return w, min(p, 1.0)
+    # continuity correction: |w - mean| is a multiple of 1/2 and shrinks by 1/2, to 0 at least
+    z = max(abs(w - n1 * (n + 1) / 2.0) - 0.5, 0.0) / math.sqrt(var)
+    return w, math.erfc(z / math.sqrt(2.0))

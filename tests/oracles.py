@@ -6,6 +6,7 @@ sorting tricks or sweeps shared with the code under test.
 
 import math
 import time
+from itertools import combinations
 
 import numpy as np
 
@@ -75,6 +76,28 @@ def brute_force_peel_ranks(F):
         remaining = [i for i in remaining if i not in set(front)]
         rank += 1
     return ranks
+
+
+def permutation_oracle(a, b):
+    """Rank sum ``w`` of ``a`` and its exact two-sided p-value: midranks by
+    scanning the sorted pooled sample for runs of equal values, then every
+    assignment of pooled observations to the first sample enumerated."""
+    pooled = np.concatenate([a, b])
+    order = np.argsort(pooled, kind="mergesort")
+    ranks = np.empty(len(pooled))
+    sorted_vals = pooled[order]
+    i = 0
+    while i < len(pooled):
+        j = i
+        while j + 1 < len(pooled) and sorted_vals[j + 1] == sorted_vals[i]:
+            j += 1
+        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    w = float(ranks[: len(a)].sum())
+    sums = [sum(c) for c in combinations(ranks.tolist(), len(a))]
+    at_most = sum(1 for s in sums if s <= w + 1e-9)
+    at_least = sum(1 for s in sums if s >= w - 1e-9)
+    return w, min(1.0, 2.0 * min(at_most, at_least) / len(sums))
 
 
 def rectangle_union_area(points, ref):

@@ -420,3 +420,43 @@ def test_portfolios_sharing_members_share_their_runs(tmp_path, engine_runs):
     # repetitions: each member runs once per (problem, repetition), not twice
     golden.compare_pap3(tmp_path)
     assert len(engine_runs) == 3 * 2 * 3
+
+
+def _construct_args(manifest, out, *extra):
+    return ["construct", "--manifest", manifest, "--out", str(out), "--k", "1",
+            "--searches-per-iter", "1", "--budget-per-search", "1",
+            "--foundations", "NSGA2", *extra]
+
+
+@pytest.mark.parametrize("command", ["construct-out", "construct-report", "evaluate", "compare",
+                                     "analyze-members"])
+def test_output_under_a_regular_file_fails_before_any_run(tmp_path, tiny_manifest, capsys,
+                                                          engine_runs, command):
+    # the bad path used to fail only after every run, and a bad --report
+    # still left the portfolio file written
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a regular file")
+    bad = blocker / "sub"
+    pf = _solo_portfolio(tmp_path)
+    argv = {
+        "construct-out": _construct_args(tiny_manifest, bad / "pf.json"),
+        "construct-report": _construct_args(tiny_manifest, tmp_path / "pf_out.json",
+                                            "--report", str(bad / "report.txt")),
+        "evaluate": ["evaluate", "--portfolio", pf, "--manifest", tiny_manifest,
+                     "--repetitions", "1", "--out-dir", str(bad)],
+        "compare": ["compare", "--portfolio", pf, "--portfolio", pf, "--manifest", tiny_manifest,
+                    "--repetitions", "3", "--out-dir", str(bad)],
+        "analyze-members": ["analyze-members", "--portfolio", pf, "--manifest", tiny_manifest,
+                            "--repetitions", "1", "--out-dir", str(bad)],
+    }[command]
+    assert main(argv) == 2
+    payload = json.loads(capsys.readouterr().err)
+    assert payload["error"] in ("FileExistsError", "NotADirectoryError")
+    assert not engine_runs
+    assert not (tmp_path / "pf_out.json").exists()
+
+
+def test_construct_creates_the_parent_of_out(tmp_path, tiny_manifest):
+    out = tmp_path / "new" / "dir" / "p.json"
+    assert main(_construct_args(tiny_manifest, out)) == 0
+    assert load_portfolio(out).members

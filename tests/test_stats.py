@@ -1,32 +1,13 @@
-"""Wilcoxon rank-sum against a full-permutation oracle."""
-
-from itertools import combinations
+"""Wilcoxon rank-sum against a full-permutation oracle and, on the normal
+path, against scipy."""
 
 import numpy as np
 import pytest
 
 from moeapap.core import ContractViolationError
-from moeapap.stats import wilcoxon_rank_sum
+from moeapap.stats import EXACT_LIMIT, wilcoxon_rank_sum
 
-
-def permutation_oracle(a, b):
-    """Enumerate every assignment of pooled observations to the first sample."""
-    pooled = np.concatenate([a, b])
-    order = np.argsort(pooled, kind="mergesort")
-    ranks = np.empty(len(pooled))
-    sorted_vals = pooled[order]
-    i = 0
-    while i < len(pooled):
-        j = i
-        while j + 1 < len(pooled) and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    w = ranks[: len(a)].sum()
-    sums = [sum(c) for c in combinations(ranks.tolist(), len(a))]
-    at_most = sum(1 for s in sums if s <= w + 1e-9)
-    at_least = sum(1 for s in sums if s >= w - 1e-9)
-    return min(1.0, 2.0 * min(at_most, at_least) / len(sums))
+from .oracles import permutation_oracle
 
 
 class TestWilcoxon:
@@ -34,6 +15,8 @@ class TestWilcoxon:
         _, p = wilcoxon_rank_sum([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
         assert p == 1.0
         _, p = wilcoxon_rank_sum([5.0] * 4, [5.0] * 4)
+        assert p == 1.0
+        _, p = wilcoxon_rank_sum([5.0] * 11, [5.0] * 11)  # the normal path: zero variance
         assert p == 1.0
 
     def test_extreme_separation(self):
@@ -53,16 +36,25 @@ class TestWilcoxon:
                 for _ in range(6):
                     a = rng.integers(0, 6, n).astype(float)  # heavy ties
                     b = rng.integers(0, 6, m).astype(float)
-                    _, p = wilcoxon_rank_sum(a, b)
-                    assert p == pytest.approx(permutation_oracle(a, b), abs=1e-12)
+                    assert wilcoxon_rank_sum(a, b) == permutation_oracle(a, b)
 
     def test_exact_matches_oracle_continuous(self):
         rng = np.random.default_rng(51)
         for _ in range(20):
             a = rng.random(5)
             b = rng.random(6)
-            _, p = wilcoxon_rank_sum(a, b)
-            assert p == pytest.approx(permutation_oracle(a, b), abs=1e-12)
+            assert wilcoxon_rank_sum(a, b) == permutation_oracle(a, b)
+
+    @pytest.mark.parametrize("pooled", range(13, EXACT_LIMIT + 1))
+    def test_exact_matches_oracle_up_to_the_limit(self, pooled):
+        # the most balanced split, which has the most subsets, and a seeded one
+        rng = np.random.default_rng(54 + pooled)
+        for n1 in (pooled // 2, int(rng.integers(3, pooled - 2))):
+            samples = (rng.integers(0, 4, pooled).astype(float),  # heavy ties
+                       rng.random(pooled))
+            for pooled_sample in samples:
+                a, b = pooled_sample[:n1], pooled_sample[n1:]
+                assert wilcoxon_rank_sum(a, b) == permutation_oracle(a, b)
 
     @pytest.mark.slow
     def test_power_on_shifted_normals(self):
@@ -84,3 +76,16 @@ class TestWilcoxon:
         _, p = wilcoxon_rank_sum(a, b)
         assert 0.0 <= p <= 1.0
 
+    def test_normal_path_matches_scipy(self):
+        stats = pytest.importorskip("scipy.stats")
+        rng = np.random.default_rng(55)
+        for trial in range(200):
+            n1, n2 = (int(v) for v in rng.integers(11, 40, 2))
+            a, b = rng.normal(0.0, 1.0, n1), rng.normal(0.3, 1.0, n2)
+            if trial % 2:  # heavy ties
+                a, b = np.round(a), np.round(b)
+            w, p = wilcoxon_rank_sum(a, b)
+            ref = stats.mannwhitneyu(a, b, alternative="two-sided", method="asymptotic",
+                                     use_continuity=True)
+            assert w - n1 * (n1 + 1) / 2 == ref.statistic
+            assert p == pytest.approx(ref.pvalue, rel=0, abs=1e-12)
