@@ -417,8 +417,9 @@ def _wdl_outcome(p: float, mean_a: float, mean_b: float, larger_is_better: bool)
 
 
 def write_compare_files(output_dir, tests, wdl) -> None:
+    """Write wilcoxon.csv and wdl.csv into ``output_dir``, which
+    ``run_experiment`` made before its runs."""
     outdir = Path(output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
     header = ("baseline", "opponent", "problem", "indicator", "statistic", "p_value", "significant")
     write_csv(outdir / "wilcoxon.csv", [
         header, *((*r[:4], _float_repr(r[4]), _float_repr(r[5]), int(r[6])) for r in tests)
