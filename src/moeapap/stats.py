@@ -1,11 +1,12 @@
 """Two-sided Wilcoxon rank-sum testing.
 
-One ``np.unique`` over the pooled sample gives the tie blocks, and with
-them the midranks, the all-equal check and the tie term.  Small samples
-(pooled size <= 20) get an exact p-value: the null distribution of the
-rank sum is counted with the Mann-Whitney recurrence over subset sizes,
-on doubled midranks so every sum is an integer.  Larger samples use the
-normal approximation with tie correction and continuity correction.
+One table of the distinct pooled values and their counts gives the tie
+blocks, and with them the midranks, the all-equal check and the tie
+term.  Small samples (pooled size <= 20) get an exact p-value: the null
+distribution of the rank sum is counted with the Mann-Whitney recurrence
+over subset sizes, on doubled midranks so every sum is an integer.
+Larger samples use the normal approximation with tie correction and
+continuity correction.
 """
 
 from __future__ import annotations
