@@ -156,10 +156,15 @@ def _cmd_analyze_members(args) -> int:
         raise ConfigurationError("analyze-members takes exactly one --portfolio")
     manifest = experiments.load_manifest(args.manifest or default_manifest("train"))
     portfolio = construction.load_portfolio(args.portfolio[0])
+    if args.repetitions < 1:  # refused before the directory is made
+        raise ConfigurationError("repetitions must be at least 1")
+    outdir = Path(args.out_dir)
+    outdir.mkdir(parents=True, exist_ok=True)  # a bad path fails before the runs
     analysis = experiments.member_analysis(
-        portfolio, manifest, repetitions=args.repetitions, master_seed=args.seed,
-        output_dir=args.out_dir,
+        portfolio, manifest, repetitions=args.repetitions, master_seed=args.seed
     )
+    (outdir / "member_analysis.txt").write_text(analysis.as_text(), encoding="utf-8")
+    experiments.write_csv(outdir / "member_analysis.csv", analysis.as_csv_rows())
     sys.stdout.write(analysis.as_text())
     return 0
 

@@ -480,18 +480,13 @@ def member_analysis(
     repetitions: int,
     master_seed: int = 0,
     runner=None,
-    output_dir=None,
 ) -> MemberAnalysis:
     """Mean per-member score, members-only score and full portfolio score
     per problem, averaged over repetitions with common random numbers.  A
-    failed member run scores 0 and is listed in ``failures``.  Given
-    ``output_dir``, the directory is made before the first run and the
-    analysis is written there as member_analysis.txt and .csv."""
+    failed member run scores 0 and is listed in ``failures``."""
     if repetitions < 1:
         raise ConfigurationError("repetitions must be at least 1")
     jobs = _jobs([portfolio], manifest.entries, repetitions, master_seed, runner)
-    if output_dir is not None:
-        Path(output_dir).mkdir(parents=True, exist_ok=True)
     sums: dict[str, np.ndarray] = {}  # member scores, then the two output rules
     failures = []
     for job, [(pap, _, _)] in zip(jobs, _map_jobs(jobs)):
@@ -500,12 +495,8 @@ def member_analysis(
         sums[job.entry.name] = sums.get(job.entry.name, 0.0) + np.asarray(scores)
         failures += _failures(portfolio.name, portfolio, job, pap)
     means = {name: (total / repetitions).tolist() for name, total in sums.items()}
-    analysis = MemberAnalysis(
+    return MemberAnalysis(
         [m.label() for m in portfolio.members], list(means),
         {name: m[:-2] for name, m in means.items()}, {name: m[-2] for name, m in means.items()},
         {name: m[-1] for name, m in means.items()}, failures,
     )
-    if output_dir is not None:
-        (Path(output_dir) / "member_analysis.txt").write_text(analysis.as_text(), encoding="utf-8")
-        write_csv(Path(output_dir) / "member_analysis.csv", analysis.as_csv_rows())
-    return analysis
