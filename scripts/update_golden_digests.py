@@ -29,7 +29,10 @@ whose variables sit on a bound or ``_BOUNDS_EPS``/2 beyond it, which
 ``evaluate`` accepts and clamps onto the bound, and of ``wfg_evaluate``
 itself, without that clamp, on 24 rows per WFG problem whose variables sit
 at 0, at the upper bound or a hair above it, where the toolkit's
-``_correct_to_01`` calls act.  Digests depend on the
+``_correct_to_01`` calls act, and of WFG1's ``Problem.evaluate`` on 24 rows
+whose first position group sits just below its upper bound, where the
+mixed shape lands a hair below 0 and ``_shape_mixed``'s ``_correct_to_01``
+acts.  Digests depend on the
 numpy build, so numpy's version is recorded too.  ``tests/test_golden.py``
 recomputes everything through ``compute()`` and compares.  A change that
 alters outputs on purpose reruns this script in the same commit and names
@@ -167,6 +170,19 @@ def _optimum_digest(index: int) -> str:
     return hashlib.sha256(get_problem(f"WFG{index}").evaluate(X).tobytes()).hexdigest()
 
 
+def _mixed_digest() -> str:
+    """sha256 of WFG1's ``Problem.evaluate`` on 24 rows: x1 = x2 from 0.9999
+    to 1 times their upper bound, evenly spaced, x3 = x4 at half theirs and
+    the distance variables at their optimum, 0.35 times the upper bound.
+    On 7 of these rows the mixed shape before its ``_correct_to_01`` lies
+    just below 0."""
+    hi = wfg.upper_bounds(12)
+    X = np.tile(0.35 * hi, (24, 1))
+    X[:, 2:4] = 0.5 * hi[2:4]
+    X[:, :2] = np.linspace(0.9999, 1.0, 24)[:, None] * hi[:2]
+    return hashlib.sha256(get_problem("WFG1").evaluate(X).tobytes()).hexdigest()
+
+
 def _write_manifest(path, budgets) -> None:
     path.write_text(json.dumps({
         "format": "moeapap-manifest", "version": 1,
@@ -254,6 +270,7 @@ def compute() -> dict:
         "wfg_optimum": {f"WFG{i}": _optimum_digest(i) for i in range(1, 10)},
         "problem_evaluate_edge": {name: _edge_digest(get_problem(name)) for name in available_problems()},
         "wfg_evaluate_upper": {f"WFG{i}": _upper_digest(i) for i in range(1, 10)},
+        "wfg_shape_mixed": {"WFG1": _mixed_digest()},
     }
 
 
