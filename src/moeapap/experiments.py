@@ -272,17 +272,19 @@ def _indicator_values(pap: PapRunResult, entry: ManifestEntry, wanted) -> dict[s
 
 def _experiment_job(job: _Job) -> list[tuple[PapRunResult, dict[str, float], float]]:
     """``(run, indicator values, wall_ms)`` per portfolio, over one store of
-    member runs: ``wall_ms`` is the stored engine time of each member run
-    the portfolio reads, shared or not, plus its own time outside those
-    engine calls (scoring the runs it made, its output rule)."""
+    member runs: ``wall_ms`` is the engine time (``RunResult.wall_time``)
+    of each member run the portfolio reads, shared or not, plus its own
+    time outside the engine calls it made (scoring those runs, its output
+    rule, a variant's reduction, a failed run up to its raise)."""
     problem, budget = problems.get_problem(job.entry.name), job.entry.budget
     runs = MemberRuns(job.runner)
     out = []
     for portfolio in job.portfolios:
-        made, start = sum(runs.wall_s.values()), time.perf_counter()
+        made, start = len(runs.runs), time.perf_counter()
         pap = run_pap(portfolio, problem, budget, job.seed, runs)
-        own_s = time.perf_counter() - start - (sum(runs.wall_s.values()) - made)
-        member_s = sum(runs.wall_s[runs.key(c, problem, budget, job.seed)] for c in portfolio.members)
+        new = list(runs.runs.values())[made:]
+        own_s = time.perf_counter() - start - sum(r.wall_time for r, _, _ in new if r is not None)
+        member_s = sum(r.wall_time for r in pap.member_results if r is not None)
         out.append((pap, _indicator_values(pap, job.entry, job.wanted), (own_s + member_s) * 1000.0))
     return out
 

@@ -155,9 +155,8 @@ def pm_apply(x, params: PmParams, bounds, applied, r) -> np.ndarray:
     r = r[at]
     lo, hi = bounds[at[-1]].T
     span = hi - lo
-    with np.errstate(divide="ignore", invalid="ignore"):
-        d_up = np.where(span > 0, (hi - v) / span, 0.0)
-        d_down = np.where(span > 0, (v - lo) / span, 0.0)
+    d_up = (hi - v) / span
+    d_down = (v - lo) / span
     exponent = 1.0 / (params.eta + 1.0)
     low_branch = (2.0 * r + (1.0 - 2.0 * r) * d_up ** (params.eta + 1.0)) ** exponent - 1.0
     high_branch = 1.0 - (2.0 * (1.0 - r) + (2.0 * r - 1.0) * d_down ** (params.eta + 1.0)) ** exponent

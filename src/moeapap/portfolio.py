@@ -16,7 +16,6 @@ memoized ``HvContext``.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -150,40 +149,31 @@ def output_rule(runs, cap: int, problem_name: str) -> PapRunResult:
 
 
 class MemberRuns:
-    """The ``(result, ihvr, failure)`` triple and the engine call's wall time
-    in seconds of each run of one runner, by (config fingerprint, problem
-    name, budget, run seed); the hit count; the failures as ``(label,
-    problem, message)`` in first-run order.  ``runner`` (the budget
+    """The ``(result, ihvr, failure)`` triple of each run of one runner, by
+    (config fingerprint, problem name, budget, run seed); the hit count; the
+    failures as ``(label, problem, message)`` in first-run order.  A run's
+    one time is its result's ``wall_time``.  ``runner`` (the budget
     variants, the tests' synthetic members) replaces ``algorithms.run``,
     which is looked up per run."""
 
     def __init__(self, runner=None):
         self.runner = runner
         self.runs: dict[tuple, tuple] = {}
-        self.wall_s: dict[tuple, float] = {}
         self.hits = 0
         self.failures: list[tuple[str, str, str]] = []
-
-    @staticmethod
-    def key(config, problem, budget: RunBudget, seed: int) -> tuple:
-        return config.fingerprint(), problem.name, budget, seed
 
     def get(self, config, problem, budget: RunBudget, seed: int):
         """``(result, ihvr, None)`` of ``config``'s run at its member seed for
         run seed ``seed``, or ``(None, None, message)`` if the engine raised."""
-        key = self.key(config, problem, budget, seed)
+        key = config.fingerprint(), problem.name, budget, seed
         if key in self.runs:
             self.hits += 1
             return self.runs[key]
-        run, run_seed, failure = self.runner or algorithms.run, member_seed(seed, config), None
-        start = time.perf_counter()
+        run, run_seed = self.runner or algorithms.run, member_seed(seed, config)
         try:
             result = run(config, problem, budget, run_seed)
         except Exception as exc:  # noqa: BLE001 - candidate exclusion is the contract
             failure = f"{type(exc).__name__}: {exc}"
-        # the clock covers the engine call only, not the scoring below
-        self.wall_s[key] = time.perf_counter() - start
-        if failure is not None:
             self.failures.append((config.label(), problem.name, failure))
             self.runs[key] = None, None, failure
         else:

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from moeapap import experiments, stats
+from moeapap import algorithms, experiments, stats
 
 from moeapap.algorithms import AlgorithmConfig, RunBudget, RunResult
 from moeapap.construction import save_portfolio
@@ -282,6 +282,31 @@ class TestRunExperiment:
                            reps=1)
         assert not run_experiment(cfg).failures
         assert "failures" not in (tmp_path / "out" / "summary.txt").read_text()
+
+    def test_shared_member_time_counts_in_every_reader(self, tmp_path, monkeypatch):
+        # a member run's time is its result's wall_time, whatever the run
+        # really took: the run is made once per job, by portfolio "one",
+        # and counts in the row of "two", which reads it from the store.
+        # The maker's row is its elapsed time, the reported engine time
+        # counted once as member time and not again as its own time.
+        shared, other = demo_portfolio().members
+        calls = []
+
+        def engine(config, problem, budget, seed):
+            calls.append((config.fingerprint(), problem.name, seed))
+            wall = 1.0 if config.fingerprint() == shared.fingerprint() else 0.0
+            return RunResult(SolutionSet(np.array([[0.5, 0.5]])), 0, wall, seed, budget.pop_size)
+
+        monkeypatch.setattr(algorithms, "run", engine)
+        portfolios = [Portfolio((shared,), name="one"), Portfolio((shared, other), name="two")]
+        cfg = self._config(tmp_path, small_manifest(), portfolios, indicators=("IHVR",))
+        run_experiment(cfg)
+        assert len(calls) == len(set(calls)) == 2 * 2 * 2  # members x problems x reps
+        rows = [line.split(",") for line in
+                (tmp_path / "out" / "timings.csv").read_text().splitlines()[1:]]
+        assert [row[1] for row in rows] == ["one"] * 4 + ["two"] * 4
+        assert all(float(row[-1]) < 1000.0 for row in rows[:4])
+        assert all(float(row[-1]) >= 1000.0 for row in rows[4:])
 
     def test_compare_report_and_crn(self, tmp_path):
         pf_b = Portfolio(

@@ -55,6 +55,13 @@ class TestRegistry:
         assert default_budget("DTLZ4") == (100, 250)
         assert default_budget("ZDT6") == (100, 250)
 
+    @pytest.mark.parametrize("name", ALL_NAMES)
+    def test_bounds_have_positive_width(self, name):
+        # the variation operators divide by the width of each variable's range
+        p = get_problem(name)
+        assert p.bounds.shape == (p.n_vars, 2)
+        assert (p.bounds[:, 1] > p.bounds[:, 0]).all()
+
     def test_out_of_bounds_rejected(self):
         p = get_problem("ZDT1")
         x = np.zeros(30)
