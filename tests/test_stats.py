@@ -1,6 +1,8 @@
 """Wilcoxon rank-sum against a full-permutation oracle and, on the normal
 path, against scipy."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -68,20 +70,28 @@ class TestWilcoxon:
             rejections += p < 0.05
         assert rejections / trials >= 0.95
 
+    def test_normal_approx_reasonable(self):
+        # 25 + 25 continuous draws from one distribution: no ties, so the
+        # continuity-corrected normal approximation has a closed form
+        rng = np.random.default_rng(53)
+        a = rng.normal(0, 1, 25)
+        b = rng.normal(0, 1, 25)
+        w, p = wilcoxon_rank_sum(a, b)
+        assert 0.0 <= p <= 1.0
+        ranks = np.argsort(np.argsort(np.concatenate([a, b]))) + 1
+        assert w == ranks[:25].sum()
+        mean, var = 25 * 51 / 2, 25 * 25 * 51 / 12
+        z = max(abs(w - mean) - 0.5, 0.0) / math.sqrt(var)
+        assert p == pytest.approx(math.erfc(z / math.sqrt(2)), rel=0, abs=1e-12)
+
     def test_normal_path_matches_scipy(self):
         stats = pytest.importorskip("scipy.stats")
         rng = np.random.default_rng(55)
-        samples = []
         for trial in range(200):
             n1, n2 = (int(v) for v in rng.integers(11, 40, 2))
             a, b = rng.normal(0.0, 1.0, n1), rng.normal(0.3, 1.0, n2)
             if trial % 2:  # heavy ties
                 a, b = np.round(a), np.round(b)
-            samples.append((a, b))
-        rng = np.random.default_rng(53)  # 25 + 25 draws from one distribution
-        samples.append((rng.normal(0, 1, 25), rng.normal(0, 1, 25)))
-        for a, b in samples:
-            n1 = len(a)
             w, p = wilcoxon_rank_sum(a, b)
             ref = stats.mannwhitneyu(a, b, alternative="two-sided", method="asymptotic",
                                      use_continuity=True)
