@@ -32,7 +32,8 @@ at 0, at the upper bound or a hair above it, where the toolkit's
 ``_correct_to_01`` calls act, and of WFG1's ``Problem.evaluate`` on 24 rows
 whose first position group sits just below its upper bound, where the
 mixed shape lands a hair below 0 and ``_shape_mixed``'s ``_correct_to_01``
-acts.  Digests depend on the
+acts, and of WFG5's ``Problem.evaluate`` on 6 rows with x1 = 0.702 or
+x4 = 2.808, where ``_s_decept``'s ``_correct_to_01`` acts.  Digests depend on the
 numpy build, so numpy's version is recorded too.  ``tests/test_golden.py``
 recomputes everything through ``compute()`` and compares.  A change that
 alters outputs on purpose reruns this script in the same commit and names
@@ -183,6 +184,18 @@ def _mixed_digest() -> str:
     return hashlib.sha256(get_problem("WFG1").evaluate(X).tobytes()).hexdigest()
 
 
+def _decept_digest() -> str:
+    """sha256 of WFG5's ``Problem.evaluate`` on 6 seeded rows inside the
+    bounds, with x1 = 0.702 on the first four and x4 = 2.808 on rows 2-5.
+    Both normalise to exactly y = 0.351, where ``_s_decept`` before its
+    ``_correct_to_01`` is 1 + 9e-16."""
+    hi = wfg.upper_bounds(12)
+    X = hi * np.random.default_rng(SEED).random((6, 12))
+    X[:4, 0] = 0.702
+    X[2:, 3] = 2.808
+    return hashlib.sha256(get_problem("WFG5").evaluate(X).tobytes()).hexdigest()
+
+
 def _write_manifest(path, budgets) -> None:
     path.write_text(json.dumps({
         "format": "moeapap-manifest", "version": 1,
@@ -271,6 +284,7 @@ def compute() -> dict:
         "problem_evaluate_edge": {name: _edge_digest(get_problem(name)) for name in available_problems()},
         "wfg_evaluate_upper": {f"WFG{i}": _upper_digest(i) for i in range(1, 10)},
         "wfg_shape_mixed": {"WFG1": _mixed_digest()},
+        "wfg_s_decept": {"WFG5": _decept_digest()},
     }
 
 

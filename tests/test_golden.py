@@ -3,8 +3,9 @@ problem, a tiny ``evaluate``, a ``compare`` of portfolios that share member
 runs, a toy ``construct``, every problem's ``Problem.evaluate`` on a seeded
 batch, every WFG problem's on Pareto-optimal rows, every problem's on
 rows at the edges of its bounds, ``wfg_evaluate`` on rows at and just
-above the WFG upper bounds and WFG1's on rows where its mixed shape is
-corrected into [0, 1] reproduce the bytes recorded in
+above the WFG upper bounds, WFG1's on rows where its mixed shape is
+corrected into [0, 1] and WFG5's on rows where ``_s_decept`` is corrected
+into [0, 1] reproduce the bytes recorded in
 ``tests/golden_digests.json``, and the MOEA/D rows make the recorded
 ``Problem.evaluate`` calls and rows.  A change that alters outputs on
 purpose rewrites the file with ``scripts/update_golden_digests.py`` in the
@@ -34,7 +35,7 @@ def test_outputs_match_golden_digests():
     changed = [f"{section}/{key}" for section in ("engines", "run_pap", "construct", "moead_evaluate",
                                                      "problem_evaluate", "compare", "wfg_optimum",
                                                      "problem_evaluate_edge", "wfg_evaluate_upper",
-                                                     "wfg_shape_mixed")
+                                                     "wfg_shape_mixed", "wfg_s_decept")
                for key in recorded[section] if recorded[section][key] != current[section].get(key)]
     assert not changed, "outputs or MOEA/D evaluate counts changed: " + ", ".join(changed)
     assert current["evaluate_results_csv"] == recorded["evaluate_results_csv"]
