@@ -21,7 +21,7 @@ import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from moeapap.problems import default_budget  # noqa: E402
+from moeapap.problems import get_problem  # noqa: E402
 
 OUT_DIR = pathlib.Path(__file__).resolve().parents[1] / "src" / "moeapap" / "manifests"
 
@@ -42,6 +42,16 @@ TEST = [
 TEST_UNAVAILABLE = ["MaOP1", "MaOP3", "MaOP4", "MaOP6", "MaOP9"]
 
 SEEDS = [1, 2, 3]
+
+
+def default_budget(name: str) -> tuple[int, int]:
+    """(population size, max generations) defaults per benchmark suite."""
+    p = get_problem(name)
+    if p.suite == "UF":
+        return (100, 500) if p.index <= 7 else (150, 600)
+    if p.suite == "WFG":
+        return (150, 250)
+    return (100, 250)
 
 
 def build(names, unavailable, notes) -> dict:

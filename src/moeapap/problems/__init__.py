@@ -20,21 +20,22 @@ import numpy as np
 
 from ..core import ConfigurationError, ContractViolationError
 from . import dtlz, uf, wfg, zdt
-from .fronts import UnsupportedProblemError, sample_reference_front
 from .zdt import ZDT5_BIT_LAYOUT, ZDT5_TOTAL_BITS
 
 __all__ = [
     "Problem",
     "UnsupportedProblemError",
     "available_problems",
-    "default_budget",
     "get_problem",
     "objective_box",
     "reference_front",
-    "sample_reference_front",
 ]
 
 _BOUNDS_EPS = 1e-9
+
+
+class UnsupportedProblemError(KeyError):
+    """No benchmark problem is registered under the requested id."""
 
 
 @dataclass(frozen=True)
@@ -63,27 +64,23 @@ class Problem:
         object.__setattr__(self, "_hi", np.ascontiguousarray(self.bounds[:, 1]))
 
     def evaluate(self, X) -> np.ndarray:
-        """Evaluate one decision vector or a batch of rows.
+        """Evaluate an ``(n, n_vars)`` batch of decision rows.
 
         A variable up to ``_BOUNDS_EPS`` beyond its bound is clamped onto
         the bound first, so it evaluates as the bound does; one further out
         is an error.
         """
         arr = np.asarray(X, dtype=np.float64)
-        single = arr.ndim == 1
-        if single:
-            arr = arr[None, :]
-        if arr.shape[1] != self.n_vars:
+        if arr.ndim != 2 or arr.shape[1] != self.n_vars:
             raise ContractViolationError(
-                f"{self.name} expects {self.n_vars} variables, got {arr.shape[1]}"
+                f"{self.name} expects (n, {self.n_vars}) decision rows, got shape {arr.shape}"
             )
         lo, hi = self._lo, self._hi
         if ((arr < lo) | (arr > hi)).any():
             if ((arr < lo - _BOUNDS_EPS) | (arr > hi + _BOUNDS_EPS)).any():
                 raise ContractViolationError(f"decision vector out of bounds for {self.name}")
             arr = np.clip(arr, lo, hi)
-        F = self._fn(arr)
-        return F[0] if single else F
+        return self._fn(arr)
 
 
 def _box(n: int, lo: float, hi: float) -> np.ndarray:
@@ -210,13 +207,3 @@ def objective_box(name: str) -> np.ndarray:
     if box.shape != (problem.m, 2) or not (box[:, 0] < box[:, 1]).all():
         raise ConfigurationError(f"invalid objective box metadata for {problem.name}")
     return box
-
-
-def default_budget(name: str) -> tuple[int, int]:
-    """(population size, max generations) defaults per benchmark suite."""
-    p = get_problem(name)
-    if p.suite == "UF":
-        return (100, 500) if p.index <= 7 else (150, 600)
-    if p.suite == "WFG":
-        return (150, 250)
-    return (100, 250)

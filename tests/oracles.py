@@ -374,7 +374,7 @@ def moead_one_child_at_a_time(problem, config, budget, seed):
                     X[i], X[picked[0]], X[picked[1:de.p + 1]], X[picked[de.p + 1:]],
                     de, bounds, masks[i],
                 )
-            f_child = problem.evaluate(child)
+            f_child = problem.evaluate(child[None])[0]
             evaluations += 1
             late_ideal_moves += generation > 0 and bool((f_child < ideal).any())
             ideal = np.minimum(ideal, f_child)

@@ -1,5 +1,8 @@
 """Benchmark evaluation examples, registry contracts and front/box data."""
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -10,17 +13,27 @@ from moeapap.problems import (
     _BOUNDS_EPS,
     UnsupportedProblemError,
     available_problems,
-    default_budget,
     get_problem,
     objective_box,
     reference_front,
-    sample_reference_front,
 )
 from moeapap.problems.wfg import _correct_to_01, _r_nonsep, upper_bounds, wfg_evaluate
 
 from .oracles import correct_to_01_two_where, r_nonsep_double_loop
 
 ALL_NAMES = available_problems()
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _script(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+reference_data = _script("generate_reference_data")
+manifests = _script("generate_manifests")
 
 
 class TestRegistry:
@@ -48,6 +61,7 @@ class TestRegistry:
             get_problem("MaOP1")
 
     def test_default_budgets(self):
+        default_budget = manifests.default_budget
         assert default_budget("UF1") == (100, 500)
         assert default_budget("UF7") == (100, 500)
         assert default_budget("UF8") == (150, 600)
@@ -64,16 +78,16 @@ class TestRegistry:
 
     def test_out_of_bounds_rejected(self):
         p = get_problem("ZDT1")
-        x = np.zeros(30)
-        x[0] = 1.5
+        X = np.zeros((1, 30))
+        X[0, 0] = 1.5
         with pytest.raises(ContractViolationError):
-            p.evaluate(x)
+            p.evaluate(X)
 
     @pytest.mark.parametrize("name", ALL_NAMES)
     def test_rows_within_tolerance_evaluate_as_the_bound(self, name):
         # a variable up to _BOUNDS_EPS beyond its bound is clamped onto the
-        # bound, in a batch beside an inside row and as a single row, without
-        # changing the caller's array; further out is still an error
+        # bound, in a batch beside an inside row and in a batch of one,
+        # without changing the caller's array; further out is still an error
         p = get_problem(name)
         lo, hi = p.bounds[:, 0], p.bounds[:, 1]
         mid = (lo + hi) / 2
@@ -82,7 +96,7 @@ class TestRegistry:
         F = p.evaluate(X)
         assert np.isfinite(F).all()
         assert np.array_equal(F, p.evaluate(np.array([mid, lo, hi])))
-        assert np.array_equal(p.evaluate(X[1]), F[1])
+        assert np.array_equal(p.evaluate(X[1:2]), F[1:2])
         assert np.array_equal(X, given)
         X[1, -1] = lo[-1] - 2 * _BOUNDS_EPS
         with pytest.raises(ContractViolationError):
@@ -90,22 +104,27 @@ class TestRegistry:
 
     def test_wrong_dimension_rejected(self):
         with pytest.raises(ContractViolationError):
-            get_problem("ZDT1").evaluate(np.zeros(10))
+            get_problem("ZDT1").evaluate(np.zeros((1, 10)))
+
+    def test_one_dimensional_vector_rejected(self):
+        # evaluate takes (n, n_vars) batches only; a single row is a batch of one
+        with pytest.raises(ContractViolationError, match="decision rows"):
+            get_problem("ZDT1").evaluate(np.zeros(30))
 
 
 class TestEvaluationExamples:
     def test_zdt1_all_zero(self):
-        f = get_problem("ZDT1").evaluate(np.zeros(30))
+        f = get_problem("ZDT1").evaluate(np.zeros((1, 30)))[0]
         assert f == pytest.approx([0.0, 1.0])
 
     def test_zdt1_first_one(self):
-        x = np.zeros(30)
-        x[0] = 1.0
-        f = get_problem("ZDT1").evaluate(x)
+        x = np.zeros((1, 30))
+        x[0, 0] = 1.0
+        f = get_problem("ZDT1").evaluate(x)[0]
         assert f == pytest.approx([1.0, 0.0])
 
     def test_dtlz2_center(self):
-        f = get_problem("DTLZ2").evaluate(np.full(11, 0.5))
+        f = get_problem("DTLZ2").evaluate(np.full((1, 11), 0.5))[0]
         assert f == pytest.approx([np.cos(np.pi / 4), np.sin(np.pi / 4)])
 
     def test_determinism_bitwise(self):
@@ -119,14 +138,14 @@ class TestEvaluationExamples:
     def test_batch_rows_equal_single_rows(self, name):
         # MOEA/D evaluates a generation's children as one batch and re-evaluates
         # its stale children in smaller batches of any size; every batch must
-        # give a row the bits it gets alone
+        # give a row the bits it gets in a batch of one
         p = get_problem(name)
         for size in (1, 7, 30, 150):
             rng = rng_for("batch-rows", name, size)
             X = p.bounds[:, 0] + rng.random((size, p.n_vars)) * (p.bounds[:, 1] - p.bounds[:, 0])
             F = p.evaluate(X)
             for i in range(size):
-                assert np.array_equal(F[i], p.evaluate(X[i])), (name, size, i)
+                assert np.array_equal(F[i:i + 1], p.evaluate(X[i:i + 1])), (name, size, i)
 
     def test_zdt5_bit_paths_agree(self):
         p = get_problem("ZDT5")
@@ -137,7 +156,7 @@ class TestEvaluationExamples:
     def test_zdt5_known_point(self):
         p = get_problem("ZDT5")
         # all ones: u1=30 -> f1=31; every 5-bit substring u=5 -> v=1 -> g=10
-        assert p.evaluate(np.ones(80)) == pytest.approx([31.0, 10.0 / 31.0])
+        assert p.evaluate(np.ones((1, 80)))[0] == pytest.approx([31.0, 10.0 / 31.0])
 
 
 class TestWfgOracle:
@@ -250,26 +269,42 @@ class TestWfgCorrection:
 
 class TestReferenceFronts:
     def test_zdt1_front_shape(self):
-        front = sample_reference_front("ZDT1", 1001)
+        front = reference_data.sample_reference_front("ZDT1", 1001)
         assert front.shape == (1001, 2)
         t = front[:, 0]
         assert np.allclose(front[:, 1], 1.0 - np.sqrt(t))
 
     def test_dtlz2_quarter_circle(self):
-        front = sample_reference_front("DTLZ2", 500)
+        front = reference_data.sample_reference_front("DTLZ2", 500)
         assert np.allclose((front**2).sum(axis=1), 1.0)
 
     def test_uf1_front_nondominated_oracle(self):
-        front = sample_reference_front("UF1", 500)
+        front = reference_data.sample_reference_front("UF1", 500)
         assert nd_mask(np.ascontiguousarray(front)).all()
 
     def test_count_minimum(self):
         with pytest.raises(ValueError):
-            sample_reference_front("ZDT1", 50)
+            reference_data.sample_reference_front("ZDT1", 50)
 
     def test_unsupported(self):
         with pytest.raises(UnsupportedProblemError):
-            sample_reference_front("WFG11", 500)
+            reference_data.sample_reference_front("WFG11", 500)
+
+    @pytest.mark.slow
+    def test_generators_reproduce_shipped_data(self, tmp_path, monkeypatch, capsys):
+        # every shipped front, box file and manifest is what its generator
+        # writes today, byte for byte
+        monkeypatch.setattr(reference_data, "DATA_DIR", tmp_path / "data")
+        monkeypatch.setattr(manifests, "OUT_DIR", tmp_path / "manifests")
+        reference_data.main()
+        manifests.main()
+        for written, shipped in ((tmp_path / "data", ROOT / "src" / "moeapap" / "problems" / "data"),
+                                 (tmp_path / "manifests", ROOT / "src" / "moeapap" / "manifests")):
+            names = sorted(path.name for path in written.iterdir())
+            assert names == sorted(path.name for path in shipped.iterdir())
+            differ = [n for n in names if (written / n).read_bytes() != (shipped / n).read_bytes()]
+            assert not differ, f"generated files differ from the shipped ones: {differ}"
+        assert len(list((tmp_path / "data").iterdir())) == len(ALL_NAMES) + 4
 
     @pytest.mark.parametrize("name", ALL_NAMES)
     def test_shipped_fronts_nondominated_and_boxed(self, name):
