@@ -22,11 +22,17 @@ def init_population(problem, pop_size: int, rng) -> np.ndarray:
 
 
 def crowding_by_front(F: np.ndarray, ranks: np.ndarray) -> np.ndarray:
-    """Crowding distance of every row, computed within its own front."""
+    """Crowding distance of every row, computed within its own front.
+
+    One stable sort groups the rows by rank, so each front's rows keep
+    their ascending order; the fronts' sizes split the sorted rows."""
+    order = np.argsort(ranks, kind="stable")
     crowd = np.empty(F.shape[0])
-    for r in range(int(ranks.max()) + 1):
-        idx = np.nonzero(ranks == r)[0]
-        crowd[idx] = _kernels.crowding(np.ascontiguousarray(F[idx]))
+    start = 0
+    for size in np.bincount(ranks).tolist():
+        idx = order[start:start + size]
+        crowd[idx] = _kernels.crowding(F[idx])
+        start += size
     return crowd
 
 

@@ -6,14 +6,19 @@ import numpy as np
 import pytest
 
 import moeapap.algorithms
-from moeapap._kernels import nd_mask, nds_ranks
+from moeapap._kernels import crowding, nd_mask, nds_ranks
 from moeapap._seeding import rng_for
 from moeapap.algorithms import (
     AlgorithmConfig,
     RunBudget,
     run,
 )
-from moeapap.algorithms.common import binary_tournament, environmental_select, init_population
+from moeapap.algorithms.common import (
+    binary_tournament,
+    crowding_by_front,
+    environmental_select,
+    init_population,
+)
 from moeapap.algorithms.moead import simplex_weights, tchebycheff, tchebycheff_weights
 from moeapap.algorithms.mopso import _GridArchive, pbest_replaced
 from moeapap.core import ConfigurationError
@@ -166,7 +171,6 @@ class TestNsga2:
     def test_elitism_objective_minima_non_increasing(self):
         # rerun the loop manually to observe per-generation minima
         from moeapap import operators
-        from moeapap.algorithms.common import binary_tournament, crowding_by_front
 
         p = get_problem("ZDT1")
         rng = rng_for("elitism")
@@ -189,6 +193,21 @@ class TestNsga2:
             best = F.min(axis=0)
             assert (best <= prev_best + 1e-15).all()
             prev_best = best
+
+    def test_crowding_by_front_matches_a_scan_per_rank(self):
+        # each front's crowding, its rows taken in ascending order, lands on
+        # those rows; ranks come unsorted (the initial population) or sorted
+        # (after survival), ties and duplicate rows included
+        rng = np.random.default_rng(17)
+        for n, m in ((1, 2), (2, 3), (24, 2), (60, 3)):
+            F = np.round(rng.random((n, m)), 1)
+            drawn = rng.integers(0, 4, n)
+            for ranks in (nds_ranks(np.ascontiguousarray(F)), drawn, np.sort(drawn)):
+                want = np.empty(n)
+                for r in np.unique(ranks):
+                    idx = np.nonzero(ranks == r)[0]
+                    want[idx] = crowding(np.ascontiguousarray(F[idx]))
+                assert crowding_by_front(F, ranks).tobytes() == want.tobytes(), (n, m)
 
     def test_environmental_select_ranks_match_peeling(self):
         # against a brute-force survival: full peeling, then the crowding
