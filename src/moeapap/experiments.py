@@ -69,8 +69,6 @@ class ManifestEntry:
 @dataclass(frozen=True)
 class Manifest:
     entries: tuple[ManifestEntry, ...]
-    unavailable: tuple[str, ...] = ()
-    notes: str = ""
 
 
 def load_manifest(path) -> Manifest:
@@ -111,12 +109,13 @@ def load_manifest(path) -> Manifest:
             # with or overwrite the first one's runs
             raise ManifestError(f"manifest lists problem {name} more than once")
         entries.append(ManifestEntry(name, *budget, tuple(seeds)))
+    # the problems a split leaves out, with reasons, are for the reader;
+    # they are checked but not kept
     unavailable = payload.get("unavailable", [])
     if not (isinstance(unavailable, list)
             and all(isinstance(u, dict) and isinstance(u.get("name"), str) for u in unavailable)):
         raise ManifestError("manifest 'unavailable' must be a list of objects with a 'name' string")
-    names = tuple(u["name"] for u in unavailable)
-    return Manifest(tuple(entries), names, str(payload.get("notes", "")))
+    return Manifest(tuple(entries))
 
 
 def _is_int(value) -> bool:
