@@ -61,13 +61,12 @@ class TestRegistry:
             get_problem("MaOP1")
 
     def test_default_budgets(self):
-        default_budget = manifests.default_budget
-        assert default_budget("UF1") == (100, 500)
-        assert default_budget("UF7") == (100, 500)
-        assert default_budget("UF8") == (150, 600)
-        assert default_budget("WFG3") == (150, 250)
-        assert default_budget("DTLZ4") == (100, 250)
-        assert default_budget("ZDT6") == (100, 250)
+        assert manifests.default_budget("UF1") == (100, 500)
+        assert manifests.default_budget("UF7") == (100, 500)
+        assert manifests.default_budget("UF8") == (150, 600)
+        assert manifests.default_budget("WFG3") == (150, 250)
+        assert manifests.default_budget("DTLZ4") == (100, 250)
+        assert manifests.default_budget("ZDT6") == (100, 250)
 
     @pytest.mark.parametrize("name", ALL_NAMES)
     def test_bounds_have_positive_width(self, name):
@@ -103,13 +102,11 @@ class TestRegistry:
             p.evaluate(X)
 
     def test_wrong_dimension_rejected(self):
-        with pytest.raises(ContractViolationError):
-            get_problem("ZDT1").evaluate(np.zeros((1, 10)))
-
-    def test_one_dimensional_vector_rejected(self):
-        # evaluate takes (n, n_vars) batches only; a single row is a batch of one
-        with pytest.raises(ContractViolationError, match="decision rows"):
-            get_problem("ZDT1").evaluate(np.zeros(30))
+        # evaluate takes (n, n_vars) batches only: a row of the wrong width is
+        # refused, and so is a 1-d vector, even of the right length
+        for X in (np.zeros((1, 10)), np.zeros(30)):
+            with pytest.raises(ContractViolationError, match="decision rows"):
+                get_problem("ZDT1").evaluate(X)
 
 
 class TestEvaluationExamples:
@@ -291,7 +288,7 @@ class TestReferenceFronts:
             reference_data.sample_reference_front("WFG11", 500)
 
     @pytest.mark.slow
-    def test_generators_reproduce_shipped_data(self, tmp_path, monkeypatch, capsys):
+    def test_generators_reproduce_shipped_data(self, tmp_path, monkeypatch):
         # every shipped front, box file and manifest is what its generator
         # writes today, byte for byte
         monkeypatch.setattr(reference_data, "DATA_DIR", tmp_path / "data")
@@ -304,7 +301,6 @@ class TestReferenceFronts:
             assert names == sorted(path.name for path in shipped.iterdir())
             differ = [n for n in names if (written / n).read_bytes() != (shipped / n).read_bytes()]
             assert not differ, f"generated files differ from the shipped ones: {differ}"
-        assert len(list((tmp_path / "data").iterdir())) == len(ALL_NAMES) + 4
 
     @pytest.mark.parametrize("name", ALL_NAMES)
     def test_shipped_fronts_nondominated_and_boxed(self, name):
