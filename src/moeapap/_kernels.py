@@ -132,11 +132,12 @@ def hv3d(F, ref):
     if P.shape[0] == 0:
         return 0.0
     P = P[np.argsort(P[:, 2], kind="mergesort")]
-    levels = np.unique(P[:, 2])
+    f3 = P[:, 2]
+    levels = f3[np.append(True, f3[1:] != f3[:-1])]  # distinct, ascending
     bounds = np.append(levels[1:], ref[2])
     hv = 0.0
     for z, znext in zip(levels, bounds):
-        layer = P[P[:, 2] <= z, :2]
+        layer = P[f3 <= z, :2]
         hv += _staircase_area(layer, ref[:2]) * (znext - z)
     return hv
 

@@ -47,10 +47,6 @@ class SolutionSet:
     def __len__(self) -> int:
         return self.objectives.shape[0]
 
-    @property
-    def m(self) -> int:
-        return self.objectives.shape[1]
-
     def validate(self) -> "SolutionSet":
         """Raise unless the set is mutually non-dominated."""
         if len(self) and not _kernels.nd_mask(self.objectives).all():

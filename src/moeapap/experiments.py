@@ -16,7 +16,6 @@ from __future__ import annotations
 import csv
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
 from pathlib import Path
@@ -291,6 +290,9 @@ def _experiment_job(job: _Job) -> list[tuple[PapRunResult, dict[str, float], flo
 def _map_jobs(jobs: list[_Job], workers: int = 1) -> list[list[tuple]]:
     """Results of the jobs in job order, over ``workers`` processes."""
     if workers > 1:
+        # imported here so that a serial run never loads the pool's modules
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_experiment_job, jobs, chunksize=1))
     return [_experiment_job(job) for job in jobs]

@@ -20,7 +20,7 @@ import numpy as np
 
 from ..core import ConfigurationError, ContractViolationError
 from . import dtlz, uf, wfg, zdt
-from .zdt import ZDT5_BIT_LAYOUT, ZDT5_TOTAL_BITS
+from .zdt import ZDT5_TOTAL_BITS
 
 __all__ = [
     "Problem",
@@ -42,16 +42,14 @@ class UnsupportedProblemError(KeyError):
 class Problem:
     """One benchmark instance: identity, dimensions, bounds and evaluator.
 
-    ``n`` is the nominal decision dimension; ``n_vars`` the dimension the
-    variation operators act on (they differ only for ZDT5, whose eleven
-    bitstrings are relaxed to one real gene per bit).
+    ``n_vars`` is the dimension the variation operators act on; for ZDT5
+    that is one relaxed real gene per bit of its eleven bitstrings.
     """
 
     name: str
     suite: str
     index: int
     m: int
-    n: int
     n_vars: int
     bounds: np.ndarray = field(repr=False)
     _fn: Callable[[np.ndarray], np.ndarray] = field(repr=False)
@@ -67,8 +65,8 @@ class Problem:
         """Evaluate an ``(n, n_vars)`` batch of decision rows.
 
         A variable up to ``_BOUNDS_EPS`` beyond its bound is clamped onto
-        the bound first, so it evaluates as the bound does; one further out
-        is an error.
+        the bound first, so it evaluates as the bound does; one further out,
+        or NaN, is an error.
         """
         arr = np.asarray(X, dtype=np.float64)
         if arr.ndim != 2 or arr.shape[1] != self.n_vars:
@@ -76,9 +74,10 @@ class Problem:
                 f"{self.name} expects (n, {self.n_vars}) decision rows, got shape {arr.shape}"
             )
         lo, hi = self._lo, self._hi
-        if ((arr < lo) | (arr > hi)).any():
-            if ((arr < lo - _BOUNDS_EPS) | (arr > hi + _BOUNDS_EPS)).any():
-                raise ContractViolationError(f"decision vector out of bounds for {self.name}")
+        # written so that NaN, which fails every comparison, fails both tests
+        if not ((arr >= lo) & (arr <= hi)).all():
+            if not ((arr >= lo - _BOUNDS_EPS) & (arr <= hi + _BOUNDS_EPS)).all():
+                raise ContractViolationError(f"decision row out of bounds or NaN for {self.name}")
             arr = np.clip(arr, lo, hi)
         return self._fn(arr)
 
@@ -117,34 +116,24 @@ def _build_registry() -> dict[str, Problem]:
         bounds = _box(n, 0.0, 1.0)
         if i == 4:
             bounds[1:] = (-5.0, 5.0)
-        add(Problem(f"ZDT{i}", "ZDT", i, 2, n, n, bounds, fn))
-    add(
-        Problem(
-            "ZDT5",
-            "ZDT",
-            5,
-            2,
-            len(ZDT5_BIT_LAYOUT),
-            ZDT5_TOTAL_BITS,
-            _box(ZDT5_TOTAL_BITS, 0.0, 1.0),
-            zdt.zdt5,
-        )
-    )
+        add(Problem(f"ZDT{i}", "ZDT", i, 2, n, bounds, fn))
+    add(Problem("ZDT5", "ZDT", 5, 2, ZDT5_TOTAL_BITS, _box(ZDT5_TOTAL_BITS, 0.0, 1.0), zdt.zdt5))
 
-    dtlz_fns = [dtlz.dtlz1, dtlz.dtlz2, dtlz.dtlz3, dtlz.dtlz4, dtlz.dtlz5, dtlz.dtlz6, dtlz.dtlz7]
+    # DTLZ5 is DTLZ2 at m=2: there are no intermediate position angles to bend
+    dtlz_fns = [dtlz.dtlz1, dtlz.dtlz2, dtlz.dtlz3, dtlz.dtlz4, dtlz.dtlz2, dtlz.dtlz6, dtlz.dtlz7]
     for i, fn in enumerate(dtlz_fns, start=1):
-        add(Problem(f"DTLZ{i}", "DTLZ", i, 2, 11, 11, _box(11, 0.0, 1.0), fn))
+        add(Problem(f"DTLZ{i}", "DTLZ", i, 2, 11, _box(11, 0.0, 1.0), fn))
 
     wfg.validate_split(12, 3, 4, 8)
     for i in range(1, 10):
         bounds = np.column_stack((np.zeros(12), wfg.upper_bounds(12)))
         fn = (lambda idx: lambda X: wfg.wfg_evaluate(idx, X, m=3, k=4))(i)
-        add(Problem(f"WFG{i}", "WFG", i, 3, 12, 12, bounds, fn))
+        add(Problem(f"WFG{i}", "WFG", i, 3, 12, bounds, fn))
 
     uf_fns = [uf.uf1, uf.uf2, uf.uf3, uf.uf4, uf.uf5, uf.uf6, uf.uf7, uf.uf8, uf.uf9, uf.uf10]
     for i, fn in enumerate(uf_fns, start=1):
         m = 2 if i <= 7 else 3
-        add(Problem(f"UF{i}", "UF", i, m, uf.N_VARS, uf.N_VARS, _uf_bounds(i), fn))
+        add(Problem(f"UF{i}", "UF", i, m, uf.N_VARS, _uf_bounds(i), fn))
 
     return reg
 
@@ -178,9 +167,8 @@ def reference_front(name: str) -> np.ndarray:
         raise ConfigurationError(
             f"reference front file {fname!r} is missing; run scripts/generate_reference_data.py"
         ) from exc
-    lines = [ln for ln in text.splitlines() if ln and not ln.startswith("#")]
-    F = np.asarray([[float(v) for v in ln.split()] for ln in lines])
-    if F.ndim != 2 or F.shape[1] != problem.m:
+    F = np.loadtxt(text.splitlines(), comments="#", ndmin=2)
+    if F.shape[1] != problem.m:
         raise ConfigurationError(f"malformed reference front file {fname!r}")
     return F
 

@@ -43,11 +43,6 @@ def dtlz4(X: np.ndarray, alpha: float = 100.0) -> np.ndarray:
     return _circle(X[:, 0] ** alpha * np.pi / 2.0, _g2(X[:, 1:]))
 
 
-def dtlz5(X: np.ndarray) -> np.ndarray:
-    # for m=2 there are no intermediate position angles to bend
-    return _circle(X[:, 0] * np.pi / 2.0, _g2(X[:, 1:]))
-
-
 def dtlz6(X: np.ndarray) -> np.ndarray:
     g = (X[:, 1:] ** 0.1).sum(axis=1)
     return _circle(X[:, 0] * np.pi / 2.0, g)

@@ -1,7 +1,10 @@
 """End-to-end CLI exercises on tiny budgets."""
 
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -296,6 +299,32 @@ def _solo_portfolio(tmp_path) -> str:
                      "params": {"eta_sbx": 15, "eta_pm": 20}}],
     }))
     return str(pf)
+
+
+def test_serial_evaluate_loads_only_what_it_uses(tmp_path):
+    # a --workers 1 evaluate loads neither the process pool nor numpy.ma;
+    # pytest itself loads those modules, so the command runs in a fresh
+    # interpreter that reports what it has loaded
+    manifest = tmp_path / "wfg4.json"
+    manifest.write_text(json.dumps({
+        "format": "moeapap-manifest", "version": 1,
+        "problems": [{"name": "WFG4", "pop_size": 12, "max_generations": 2, "seeds": [1]}],
+    }))
+    argv = ["evaluate", "--portfolio", _solo_portfolio(tmp_path), "--manifest", str(manifest),
+            "--repetitions", "1", "--workers", "1", "--out-dir", str(tmp_path / "o")]
+    script = ("import json, sys\n"
+              "from moeapap.cli import main\n"
+              f"rc = main({argv!r})\n"
+              "print(json.dumps([rc, sorted(sys.modules)]))\n")
+    src = str(Path(moeapap.algorithms.__file__).resolve().parents[2])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                          check=True, timeout=120)
+    rc, loaded = json.loads(done.stdout.splitlines()[-1])
+    assert rc == 0
+    assert (tmp_path / "o" / "results.csv").exists()
+    assert "moeapap.experiments" in loaded
+    assert {"concurrent.futures", "multiprocessing", "numpy.ma"}.isdisjoint(loaded)
 
 
 def test_analyze_members_rejects_zero_repetitions(tmp_path, tiny_manifest, capsys):

@@ -18,6 +18,7 @@ from moeapap.problems import (
     reference_front,
 )
 from moeapap.problems.wfg import _correct_to_01, _r_nonsep, upper_bounds, wfg_evaluate
+from moeapap.problems.zdt import ZDT5_BIT_LAYOUT
 
 from .oracles import correct_to_01_two_where, r_nonsep_double_loop
 
@@ -43,16 +44,18 @@ class TestRegistry:
             assert name in ALL_NAMES
 
     def test_table_dimensions(self):
+        # ZDT5's eleven bitstrings are relaxed to one real gene per bit
+        assert len(ZDT5_BIT_LAYOUT) == 11
         expected = {
             "ZDT1": (30, 2), "ZDT2": (30, 2), "ZDT3": (30, 2), "ZDT4": (10, 2),
-            "ZDT5": (11, 2), "ZDT6": (10, 2),
+            "ZDT5": (80, 2), "ZDT6": (10, 2),
             "DTLZ1": (11, 2), "DTLZ7": (11, 2),
             "WFG1": (12, 3), "WFG9": (12, 3),
             "UF1": (30, 2), "UF7": (30, 2), "UF8": (30, 3), "UF10": (30, 3),
         }
-        for name, (n, m) in expected.items():
+        for name, (n_vars, m) in expected.items():
             p = get_problem(name)
-            assert (p.n, p.m) == (n, m)
+            assert (p.n_vars, p.m) == (n_vars, m)
 
     def test_unknown_problem_rejected(self):
         with pytest.raises(UnsupportedProblemError):
@@ -100,6 +103,18 @@ class TestRegistry:
         X[1, -1] = lo[-1] - 2 * _BOUNDS_EPS
         with pytest.raises(ContractViolationError):
             p.evaluate(X)
+
+    @pytest.mark.parametrize("name", ALL_NAMES)
+    def test_nan_rejected(self, name):
+        # NaN fails every comparison, so it must not pass as within the
+        # bounds or within the tolerance band beside them
+        p = get_problem(name)
+        mid = (p.bounds[:, 0] + p.bounds[:, 1]) / 2
+        for col in (0, p.n_vars - 1):
+            X = np.array([mid, mid])
+            X[1, col] = np.nan
+            with pytest.raises(ContractViolationError, match="NaN"):
+                p.evaluate(X)
 
     def test_wrong_dimension_rejected(self):
         # evaluate takes (n, n_vars) batches only: a row of the wrong width is
