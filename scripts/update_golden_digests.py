@@ -33,7 +33,10 @@ at 0, at the upper bound or a hair above it, where the toolkit's
 whose first position group sits just below its upper bound, where the
 mixed shape lands a hair below 0 and ``_shape_mixed``'s ``_correct_to_01``
 acts, and of WFG5's ``Problem.evaluate`` on 6 rows with x1 = 0.702 or
-x4 = 2.808, where ``_s_decept``'s ``_correct_to_01`` acts.  Digests depend on the
+x4 = 2.808, where ``_s_decept``'s ``_correct_to_01`` acts.  The section
+``engines_distinct`` repeats the engine digests with every row at the
+pairwise-distinct parameter values of ``DISTINCT``, where a parameter read
+under another one's key moves the digest.  Digests depend on the
 numpy build, so numpy's version is recorded too.  ``tests/test_golden.py``
 recomputes everything through ``compute()`` and compares.  A change that
 alters outputs on purpose reruns this script in the same commit and names
@@ -91,6 +94,26 @@ def row_config(foundation: str, operator: str) -> AlgorithmConfig:
             params[name] = (spec[1] + spec[2]) / 2
         else:
             params[name] = spec[1][0]
+    return AlgorithmConfig.make(foundation, operator, **params)
+
+
+# pairwise-distinct parameter values, so that a value read under another
+# parameter's key changes the run; ``row_config`` repeats values across keys
+# (eta_sbx = eta_pm, c1 = c2, CR = K = ps = w).  c1 + c2 > 4, so SMPSO's
+# constriction acts
+DISTINCT = {
+    "eta_sbx": 7, "eta_pm": 23, "F": 0.7, "CR": 0.3, "K": 0.55,
+    "ps": 0.85, "n_r": 3, "neighbor_size": 13,
+    "w": 0.35, "c1": 1.9, "c2": 2.4, "v_max": 0.9, "grid_divisions": 7, "v_change": 0.1,
+    "pm_eta": 17, "constriction": True, "b": 9,
+}
+
+
+def distinct_config(foundation: str, operator: str) -> AlgorithmConfig:
+    """The row's configuration at the ``DISTINCT`` values, with ``p`` at
+    its largest legal value."""
+    schema = PARAM_SCHEMAS[(foundation, operator)]
+    params = {name: max(spec[1]) if name == "p" else DISTINCT[name] for name, spec in schema.items()}
     return AlgorithmConfig.make(foundation, operator, **params)
 
 
@@ -257,7 +280,7 @@ def _compare() -> dict:
 
 
 def compute() -> dict:
-    engines, moead_evaluate, paps = {}, {}, {}
+    engines, engines_distinct, moead_evaluate, paps = {}, {}, {}, {}
     for name, budget in BUDGETS.items():
         problem = get_problem(name)
         for foundation, operators in LEGAL_OPERATORS.items():
@@ -268,12 +291,15 @@ def compute() -> dict:
                 engines[key] = _digest(result.solution_set)
                 if foundation == "MOEAD":
                     moead_evaluate[key] = {"calls": counts[0], "rows": counts[1]}
+                result = run(distinct_config(foundation, operator), problem, budget, SEED)
+                engines_distinct[key] = _digest(result.solution_set)
         paps[name] = _digest(run_pap(PAP3, problem, budget, SEED).output)
     return {
         "numpy": np.__version__,
         "budgets": {name: [b.pop_size, b.max_generations] for name, b in BUDGETS.items()},
         "seed": SEED,
         "engines": engines,
+        "engines_distinct": engines_distinct,
         "run_pap": paps,
         "evaluate_results_csv": _evaluate_csv(),
         "construct": _construct(),

@@ -9,6 +9,8 @@ import moeapap.algorithms
 from moeapap._kernels import crowding, nd_mask, nds_ranks
 from moeapap._seeding import rng_for
 from moeapap.algorithms import (
+    LEGAL_OPERATORS,
+    PARAM_SCHEMAS,
     AlgorithmConfig,
     RunBudget,
     run,
@@ -32,6 +34,7 @@ from .oracles import (
     moead_one_child_at_a_time,
     pbest_replaced_by_rows,
 )
+from .test_golden import golden
 
 
 def nsga2_sbx(**kw):
@@ -50,6 +53,20 @@ def mopso_cfg(**kw):
     base = dict(w=0.4, c1=1.5, c2=1.5, v_max=1.0, grid_divisions=10, v_change=0.01, b=8)
     base.update(kw)
     return AlgorithmConfig.make("MOPSO", "omopso", **base)
+
+
+ROWS = [(foundation, operator) for foundation, ops in LEGAL_OPERATORS.items() for operator in ops]
+
+
+def moved_value(spec, value):
+    """Another legal value: an int to its lower bound (upper if already
+    there), a float to its upper bound (midpoint if already there), a
+    category to its first other value."""
+    if spec[0] == "int":
+        return spec[2] if value == spec[1] else spec[1]
+    if spec[0] == "float":
+        return (spec[1] + spec[2]) / 2 if value == spec[2] else spec[2]
+    return next(v for v in spec[1] if v != value)
 
 
 class TestConfigSpace:
@@ -131,6 +148,32 @@ class TestDispatcher:
         assert len(calls) == 1
         assert result.pop_size_used == (10 if module == "moead" else 12)  # 10-point lattice
         assert result.evaluations == result.pop_size_used * (budget.max_generations + 1)
+
+    @pytest.mark.parametrize("foundation, operator", ROWS)
+    def test_every_parameter_reaches_its_engine(self, foundation, operator):
+        # no parameter is accepted and then ignored: from the row's
+        # pairwise-distinct configuration, moving any one parameter with
+        # more than one legal value moves the run's bytes on both problems
+        base = golden.distinct_config(foundation, operator)
+        schema = PARAM_SCHEMAS[(foundation, operator)]
+        budgets = {"ZDT1": RunBudget(20, 10), "WFG4": RunBudget(30, 10)}
+
+        def outputs(cfg):
+            return [(s.objectives.tobytes(), s.decisions.tobytes())
+                    for s in (run(cfg, get_problem(name), budget, seed=5).solution_set
+                              for name, budget in budgets.items())]
+
+        want = outputs(base)
+        ignored = []
+        for name, spec in schema.items():
+            if spec[0] == "cat" and len(spec[1]) == 1:
+                continue
+            params = dict(base.params)
+            params[name] = moved_value(spec, params[name])
+            got = outputs(AlgorithmConfig.make(foundation, operator, **params))
+            ignored += [(name, problem) for problem, g, w in zip(budgets, got, want)
+                        if g == w]
+        assert not ignored
 
     def test_run_member_looks_up_run_per_call(self, monkeypatch):
         engine = moeapap.algorithms.run

@@ -1,4 +1,6 @@
-"""Golden output digests: every engine x operator row, one ``run_pap`` per
+"""Golden output digests: every engine x operator row (at the lowest,
+middle or first value of each parameter, and again at pairwise-distinct
+values), one ``run_pap`` per
 problem, a tiny ``evaluate``, a ``compare`` of portfolios that share member
 runs, a toy ``construct``, every problem's ``Problem.evaluate`` on a seeded
 batch, every WFG problem's on Pareto-optimal rows, every problem's on
@@ -32,7 +34,7 @@ def test_outputs_match_golden_digests():
         "scripts/update_golden_digests.py at the parent commit under this numpy and compare"
     )
     current = golden.compute()
-    changed = [f"{section}/{key}" for section in ("engines", "run_pap", "construct", "moead_evaluate",
+    changed = [f"{section}/{key}" for section in ("engines", "engines_distinct", "run_pap", "construct", "moead_evaluate",
                                                      "problem_evaluate", "compare", "wfg_optimum",
                                                      "problem_evaluate_edge", "wfg_evaluate_upper",
                                                      "wfg_shape_mixed", "wfg_s_decept")
