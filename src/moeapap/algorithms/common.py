@@ -1,6 +1,5 @@
-"""Pieces shared between the engines: initialization, variation
-parameters, environmental selection, per-front crowding and DE donor
-wiring."""
+"""Pieces shared between the engines: initialization, environmental
+selection, per-front crowding and DE donor wiring."""
 
 from __future__ import annotations
 
@@ -12,7 +11,7 @@ from ..core import (
     crowding_truncate_indices,
     fast_nondominated_sort,
 )
-from . import SBX_PM, AlgorithmConfig
+from . import AlgorithmConfig
 
 
 def init_population(problem, pop_size: int, rng) -> np.ndarray:
@@ -65,19 +64,6 @@ def binary_tournament(ranks: np.ndarray, crowd: np.ndarray, n: int, rng) -> np.n
     return np.where(b_wins, b, a)
 
 
-def variation_params(config: AlgorithmConfig, n_vars: int):
-    """``(sbx, pm, de)`` for a GA or DE operator row; the unused ones are ``None``."""
-    kwargs = dict(config.params)
-    if config.operator == SBX_PM:
-        sbx = operators.SbxParams(eta=kwargs["eta_sbx"])
-        return sbx, operators.PmParams(eta=kwargs["eta_pm"], p_m=1.0 / n_vars), None
-    de = operators.DeParams(
-        variant=config.operator, F=kwargs["F"], CR=kwargs["CR"], p=int(kwargs["p"]),
-        K=kwargs.get("K"),
-    )
-    return None, None, de
-
-
 def shuffled_pools(allowed: np.ndarray, rng) -> np.ndarray:
     """Per row of the boolean matrix ``allowed``, its allowed column indices
     in uniformly random order, followed by the others."""
@@ -99,14 +85,16 @@ def pick_donors(allowed: np.ndarray, k: int, rng) -> np.ndarray:
     return shuffled_pools(allowed, rng)[:, :k]
 
 
-def n_donors(params: operators.DeParams) -> int:
-    return 2 * params.p + (0 if params.uses_best else 1)
+def n_donors(config: AlgorithmConfig) -> int:
+    """Donors per DE trial: ``p`` difference pairs, plus the base row unless
+    the row draws it from the first front (the best/ variants)."""
+    return 2 * config.param("p") + (0 if "best" in config.operator else 1)
 
 
 def de_offspring(
     X: np.ndarray,
     first_front: np.ndarray,
-    params: operators.DeParams,
+    config: AlgorithmConfig,
     not_self: np.ndarray,
     bounds: np.ndarray,
     rng,
@@ -120,12 +108,14 @@ def de_offspring(
     is a random member of the current first non-dominated front.
     """
     n = X.shape[0]
-    picked = shuffled_pools(not_self, rng)[:, :n_donors(params)]
-    if params.uses_best:
+    picked = shuffled_pools(not_self, rng)[:, :n_donors(config)]
+    if "best" in config.operator:
         base = X[first_front[rng.integers(first_front.size, size=n)]]
         pairs = picked
     else:
         base = X[picked[:, 0]]
         pairs = picked[:, 1:]
-    p = params.p
-    return operators.de_mutation(X, base, X[pairs[:, :p]], X[pairs[:, p:]], params, bounds, rng)
+    params = dict(config.params)
+    p = params["p"]
+    return operators.de_mutation(X, base, X[pairs[:, :p]], X[pairs[:, p:]], params["F"], params["CR"],
+                                 params.get("K"), bounds, rng)

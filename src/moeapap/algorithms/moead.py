@@ -26,8 +26,8 @@ import numpy as np
 
 from .. import operators
 from ..core import ConfigurationError, SolutionSet, nondominated_indices
-from . import AlgorithmConfig, RunBudget
-from .common import init_population, n_donors, pick_donors, shuffled_pools, variation_params
+from . import SBX_PM, AlgorithmConfig, RunBudget
+from .common import init_population, n_donors, pick_donors, shuffled_pools
 
 _ZERO_WEIGHT = 1e-4
 
@@ -82,9 +82,14 @@ def run_moead(problem, config: AlgorithmConfig, budget: RunBudget, rng) -> tuple
     X = init_population(problem, n, rng)
     F = problem.evaluate(X)
     ideal = F.min(axis=0)
-    sbx, pm, de = variation_params(config, problem.n_vars)
 
     d = problem.n_vars
+    sbx_pm = config.operator == SBX_PM
+    if sbx_pm:
+        eta_sbx, eta_pm, p_m = config.param("eta_sbx"), config.param("eta_pm"), 1.0 / d
+    else:
+        de_f, cr, p = config.param("F"), config.param("CR"), config.param("p")
+        blend, k_donors = dict(config.params).get("K"), n_donors(config)
     in_neighborhood = np.zeros((n, n), dtype=bool)
     np.put_along_axis(in_neighborhood, neighbors, True, axis=1)
     not_self = ~np.eye(n, dtype=bool)
@@ -93,30 +98,30 @@ def run_moead(problem, config: AlgorithmConfig, budget: RunBudget, rng) -> tuple
     for _ in range(budget.max_generations):
         # everything a child needs is drawn up front
         pools = np.where((rng.random(n) < ps)[:, None], in_neighborhood, True)
-        if de is None:
+        if sbx_pm:
             parents = pick_donors(pools, 2, rng)
-            spread = operators.sbx_coefficients(sbx, rng.random((3, n, d)))
+            spread = operators.sbx_coefficients(eta_sbx, rng.random((3, n, d)))
             U_pm = rng.random((2, n, d))
-            mutated = U_pm[0] < pm.p_m
+            mutated = U_pm[0] < p_m
         else:
-            donors = pick_donors(pools & not_self, n_donors(de), rng)
-            masks = operators.de_crossover_mask((n, d), de.CR, rng)
+            donors = pick_donors(pools & not_self, k_donors, rng)
+            masks = operators.de_crossover_mask((n, d), cr, rng)
             parents = np.column_stack((np.arange(n), donors))
         orders = shuffled_pools(pools, rng)
         pool_sizes = pools.sum(axis=1)
 
         def build(rows) -> np.ndarray:
             """Children ``rows`` made from the population as it stands."""
-            if de is None:
+            if sbx_pm:
                 mates = parents[rows]
                 child = operators.sbx_child(
                     X[mates[:, 0]], X[mates[:, 1]], [c[rows] for c in spread], bounds
                 )
-                return operators.pm_apply(child, pm, bounds, mutated[rows], U_pm[1, rows])
+                return operators.pm_apply(child, eta_pm, bounds, mutated[rows], U_pm[1, rows])
             picked = donors[rows]
             return operators.de_apply(
-                X[rows], X[picked[:, 0]], X[picked[:, 1:de.p + 1]], X[picked[:, de.p + 1:]],
-                de, bounds, masks[rows],
+                X[rows], X[picked[:, 0]], X[picked[:, 1:p + 1]], X[picked[:, p + 1:]],
+                de_f, blend, bounds, masks[rows],
             )
 
         # Replay the children in index order.  stale[j]: child j's row is

@@ -13,7 +13,7 @@ import numpy as np
 
 from .. import _kernels, operators
 from ..core import ConfigurationError, SolutionSet
-from . import OMOPSO, SMPSO, AlgorithmConfig, RunBudget
+from . import AlgorithmConfig, RunBudget
 from .common import init_population
 
 
@@ -88,25 +88,6 @@ class _GridArchive:
         return self.X[by_cell[first[chosen] + self.rng.integers(counts[chosen])]]
 
 
-def _pso_params(config: AlgorithmConfig) -> operators.PsoParams:
-    mutation: operators.SmpsoMutation | operators.OmopsoMutation | None = None
-    if config.operator == SMPSO:
-        mutation = operators.SmpsoMutation(
-            eta_pm=config.param("pm_eta"), constriction=config.param("constriction")
-        )
-    elif config.operator == OMOPSO:
-        mutation = operators.OmopsoMutation(b=config.param("b"))
-    return operators.PsoParams(
-        w=config.param("w"),
-        c1=config.param("c1"),
-        c2=config.param("c2"),
-        v_max_ratio=config.param("v_max"),
-        v_change=config.param("v_change"),
-        grid_divisions=config.param("grid_divisions"),
-        mutation=mutation,
-    )
-
-
 def pbest_replaced(F: np.ndarray, pbest_F: np.ndarray, coin: np.ndarray) -> np.ndarray:
     """Rows whose new position replaces the personal best: it dominates the
     personal best, or the two are incomparable and the row's coin is set."""
@@ -115,7 +96,6 @@ def pbest_replaced(F: np.ndarray, pbest_F: np.ndarray, coin: np.ndarray) -> np.n
 
 
 def run_mopso(problem, config: AlgorithmConfig, budget: RunBudget, rng) -> tuple[SolutionSet, int]:
-    params = _pso_params(config)
     bounds = problem.bounds
     pop = budget.pop_size
     gens = budget.max_generations
@@ -127,7 +107,7 @@ def run_mopso(problem, config: AlgorithmConfig, budget: RunBudget, rng) -> tuple
     pbest_X = X.copy()
     pbest_F = F.copy()
 
-    archive = _GridArchive(pop, params.grid_divisions, rng, problem.n_vars, problem.m)
+    archive = _GridArchive(pop, config.param("grid_divisions"), rng, problem.n_vars, problem.m)
     archive.insert(X, F)
 
     swarm = np.arange(pop)
@@ -135,7 +115,7 @@ def run_mopso(problem, config: AlgorithmConfig, budget: RunBudget, rng) -> tuple
         # the archive stays fixed while the swarm moves
         leaders = archive.select_leader(pop)
         V, X = operators.pso_update(
-            X, V, pbest_X, leaders, params, bounds, rng,
+            X, V, pbest_X, leaders, config, bounds, rng,
             particle_index=swarm, generation=gen, max_generations=gens,
         )
         F = problem.evaluate(X)

@@ -12,7 +12,7 @@ import numpy as np
 
 from .. import _kernels, operators
 from ..core import ConfigurationError, SolutionSet
-from . import AlgorithmConfig, RunBudget
+from . import SBX_PM, AlgorithmConfig, RunBudget
 from .common import (
     binary_tournament,
     crowding_by_front,
@@ -21,18 +21,19 @@ from .common import (
     init_population,
     n_donors,
     require_donors,
-    variation_params,
 )
 
 
 def run_nsga2(problem, config: AlgorithmConfig, budget: RunBudget, rng) -> tuple[SolutionSet, int]:
     pop = budget.pop_size
-    sbx, pm, de = variation_params(config, problem.n_vars)
-    if de is None and pop < 4:
-        raise ConfigurationError("SBX pairing needs a population of at least 4")
-    if de is not None:
+    sbx_pm = config.operator == SBX_PM
+    if sbx_pm:
+        if pop < 4:
+            raise ConfigurationError("SBX pairing needs a population of at least 4")
+        eta_sbx, eta_pm, p_m = config.param("eta_sbx"), config.param("eta_pm"), 1.0 / problem.n_vars
+    else:
         # the donor pools are the same every generation: each row's other rows
-        require_donors(pop - 1, n_donors(de))
+        require_donors(pop - 1, n_donors(config))
         not_self = ~np.eye(pop, dtype=bool)
     bounds = problem.bounds
 
@@ -41,15 +42,15 @@ def run_nsga2(problem, config: AlgorithmConfig, budget: RunBudget, rng) -> tuple
     ranks = _kernels.nds_ranks(np.ascontiguousarray(F))
 
     for _ in range(budget.max_generations):
-        if de is None:
+        if sbx_pm:
             # pairs of tournament winners; an odd population drops the last child
             crowd = crowding_by_front(F, ranks)
             parents = X[binary_tournament(ranks, crowd, 2 * ((pop + 1) // 2), rng)]
-            c1, c2 = operators.sbx_crossover(parents[0::2], parents[1::2], sbx, bounds, rng)
+            c1, c2 = operators.sbx_crossover(parents[0::2], parents[1::2], eta_sbx, bounds, rng)
             children = np.stack((c1, c2), axis=1).reshape(parents.shape)[:pop]
-            children = operators.polynomial_mutation(children, pm, bounds, rng)
+            children = operators.polynomial_mutation(children, eta_pm, p_m, bounds, rng)
         else:
-            children = de_offspring(X, np.nonzero(ranks == 0)[0], de, not_self, bounds, rng)
+            children = de_offspring(X, np.nonzero(ranks == 0)[0], config, not_self, bounds, rng)
         F_children = problem.evaluate(children)
 
         X = np.vstack((X, children))

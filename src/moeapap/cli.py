@@ -104,22 +104,32 @@ def _cmd_construct(args) -> int:
     for path in (args.out, args.report):
         if path:
             Path(path).parent.mkdir(parents=True, exist_ok=True)
-    portfolio, report = construction.construct(
-        space,
-        Z,
-        k=args.k,
-        searches_per_iter=args.searches_per_iter,
-        budget_per_search=args.budget_per_search,
-        seed=args.seed,
-        name=Path(args.out).stem,
-    )
+    try:
+        portfolio, report = construction.construct(
+            space,
+            Z,
+            k=args.k,
+            searches_per_iter=args.searches_per_iter,
+            budget_per_search=args.budget_per_search,
+            seed=args.seed,
+            name=Path(args.out).stem,
+        )
+    except construction.EmptyPortfolioError as exc:
+        # the report says why nothing was inserted; no portfolio is written
+        _write_report(exc.report, args.report)
+        raise ConfigurationError(str(exc)) from None
     construction.save_portfolio(portfolio, args.out)
-    report_text = report.as_text()
-    if args.report:
-        Path(args.report).write_text(report_text, encoding="utf-8")
-    sys.stdout.write(report_text)
+    _write_report(report, args.report)
     print(f"constructed portfolio with {len(portfolio)} members -> {args.out}")
     return 0
+
+
+def _write_report(report, path) -> None:
+    """The construction report, to ``path`` when given and to stdout."""
+    text = report.as_text()
+    if path:
+        Path(path).write_text(text, encoding="utf-8")
+    sys.stdout.write(text)
 
 
 def _cmd_experiment(args) -> int:

@@ -39,6 +39,14 @@ class PortfolioFormatError(ValueError):
     """A portfolio file failed schema or range validation."""
 
 
+class EmptyPortfolioError(ConfigurationError):
+    """No candidate scored above 0; ``report`` holds what construction tried."""
+
+    def __init__(self, report: "ConstructionReport"):
+        super().__init__("construction produced an empty portfolio")
+        self.report = report
+
+
 # ---------------------------------------------------------------------------
 # configuration space
 # ---------------------------------------------------------------------------
@@ -373,7 +381,7 @@ def construct(
     made = len(ev.runs.runs)  # one run per miss
     report.cache_stats = {"entries": made, "hits": ev.runs.hits, "misses": made}
     if not members:
-        raise ConfigurationError("construction produced an empty portfolio")
+        raise EmptyPortfolioError(report)
     return Portfolio(tuple(members), name=name), report
 
 

@@ -17,73 +17,20 @@ MOEA/D can draw a generation's blocks once and make any subset of its
 children from them: all of them as one batch, then again the stale ones
 after the population has changed.  SBX keeps one copy of the spread
 formula; MOEA/D computes only the child it keeps, NSGA-II both.
+
+SBX, PM and DE serve several configuration rows, under different keys
+(PM's eta is ``eta_pm`` in the GA rows and ``pm_eta`` in SMPSO), so they
+take the numbers they use: SBX its ``eta``, PM its ``eta`` and per-variable
+rate ``p_m``, DE its ``F``, ``CR`` and ``K``.  ``pso_update`` serves only
+the MOPSO rows and takes the row's ``AlgorithmConfig``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from .algorithms import OMOPSO, SMPSO
 from .core import ContractViolationError
-
-DE_VARIANTS = ("rand_p", "best_p", "current_to_rand_p", "current_to_best_p")
-
-
-@dataclass(frozen=True)
-class SbxParams:
-    eta: int
-
-
-@dataclass(frozen=True)
-class PmParams:
-    eta: int
-    p_m: float
-
-
-@dataclass(frozen=True)
-class DeParams:
-    variant: str
-    F: float
-    CR: float
-    p: int = 1
-    K: float | None = None
-
-    def __post_init__(self):
-        if self.variant not in DE_VARIANTS:
-            raise ContractViolationError(f"unknown DE variant {self.variant!r}")
-        if self.variant.startswith("current_to") and self.K is None:
-            raise ContractViolationError(f"{self.variant} requires the blend factor K")
-
-    @property
-    def uses_best(self) -> bool:
-        return "best" in self.variant
-
-    @property
-    def is_current_to(self) -> bool:
-        return self.variant.startswith("current_to")
-
-
-@dataclass(frozen=True)
-class SmpsoMutation:
-    eta_pm: int
-    constriction: bool
-
-
-@dataclass(frozen=True)
-class OmopsoMutation:
-    b: int
-
-
-@dataclass(frozen=True)
-class PsoParams:
-    w: float
-    c1: float
-    c2: float
-    v_max_ratio: float
-    v_change: float
-    grid_divisions: int
-    mutation: SmpsoMutation | OmopsoMutation | None = None
 
 
 def clamp(X: np.ndarray, bounds: np.ndarray) -> np.ndarray:
@@ -91,7 +38,7 @@ def clamp(X: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     return np.minimum(np.maximum(X, bounds[:, 0]), bounds[:, 1])
 
 
-def sbx_crossover(x1, x2, params: SbxParams, bounds, rng) -> tuple[np.ndarray, np.ndarray]:
+def sbx_crossover(x1, x2, eta, bounds, rng) -> tuple[np.ndarray, np.ndarray]:
     """Simulated binary crossover of the parent rows ``x1[i]``, ``x2[i]``.
 
     Follows the standard application scheme: each variable is crossed with
@@ -104,11 +51,11 @@ def sbx_crossover(x1, x2, params: SbxParams, bounds, rng) -> tuple[np.ndarray, n
     x2 = np.asarray(x2, dtype=np.float64)
     if x1.shape != x2.shape:
         raise ContractViolationError("SBX parents must have equal shapes")
-    coefficients = sbx_coefficients(params, [rng.random(x1.shape) for _ in range(3)])
+    coefficients = sbx_coefficients(eta, [rng.random(x1.shape) for _ in range(3)])
     return sbx_child(x1, x2, coefficients, bounds), sbx_child(x2, x1, coefficients, bounds)
 
 
-def sbx_coefficients(params: SbxParams, U) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def sbx_coefficients(eta, U) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """SBX on pre-drawn uniforms ``U = (crossing, spread, exchange)`` as
     per-variable coefficients ``(cross, exchange, P, Q)``.
 
@@ -117,7 +64,7 @@ def sbx_coefficients(params: SbxParams, U) -> tuple[np.ndarray, np.ndarray, np.n
     and into the second when the parents are passed in swapped order.
     """
     r = U[1]
-    exponent = 1.0 / (1.0 + params.eta)
+    exponent = 1.0 / (1.0 + eta)
     beta = np.where(r <= 0.5, (2.0 * r) ** exponent, (1.0 / (2.0 - 2.0 * r)) ** exponent)
     exchange = U[2] < 0.5
     P = np.where(exchange, 1.0 - beta, 1.0 + beta)
@@ -133,17 +80,17 @@ def sbx_child(x1, x2, coefficients, bounds) -> np.ndarray:
     return clamp(np.where(cross, 0.5 * (P * x1 + Q * x2), np.where(exchange, x2, x1)), bounds)
 
 
-def polynomial_mutation(x, params: PmParams, bounds, rng) -> np.ndarray:
+def polynomial_mutation(x, eta, p_m, bounds, rng) -> np.ndarray:
     """Polynomial mutation of every row with per-variable probability ``p_m``.
 
     Draw order: application uniforms, then the perturbation uniforms.
     """
     x = np.asarray(x, dtype=np.float64)
-    applied = rng.random(x.shape) < params.p_m
-    return pm_apply(x, params, bounds, applied, rng.random(x.shape))
+    applied = rng.random(x.shape) < p_m
+    return pm_apply(x, eta, bounds, applied, rng.random(x.shape))
 
 
-def pm_apply(x, params: PmParams, bounds, applied, r) -> np.ndarray:
+def pm_apply(x, eta, bounds, applied, r) -> np.ndarray:
     """Polynomial mutation on a pre-drawn application mask and perturbation
     uniforms ``r``.  Only the variables where ``applied`` holds are computed
     and clamped; the others are returned as they are."""
@@ -157,25 +104,27 @@ def pm_apply(x, params: PmParams, bounds, applied, r) -> np.ndarray:
     span = hi - lo
     d_up = (hi - v) / span
     d_down = (v - lo) / span
-    exponent = 1.0 / (params.eta + 1.0)
-    low_branch = (2.0 * r + (1.0 - 2.0 * r) * d_up ** (params.eta + 1.0)) ** exponent - 1.0
-    high_branch = 1.0 - (2.0 * (1.0 - r) + (2.0 * r - 1.0) * d_down ** (params.eta + 1.0)) ** exponent
+    exponent = 1.0 / (eta + 1.0)
+    low_branch = (2.0 * r + (1.0 - 2.0 * r) * d_up ** (eta + 1.0)) ** exponent - 1.0
+    high_branch = 1.0 - (2.0 * (1.0 - r) + (2.0 * r - 1.0) * d_down ** (eta + 1.0)) ** exponent
     delta = np.where(r <= 0.5, low_branch, high_branch)
     out[at] = np.minimum(np.maximum(v + delta * span, lo), hi)
     return out
 
 
-def de_mutation(target, base, pairs_a, pairs_b, params: DeParams, bounds, rng) -> np.ndarray:
+def de_mutation(target, base, pairs_a, pairs_b, F, CR, K, bounds, rng) -> np.ndarray:
     """DE trial vectors, one per row of ``target``.
 
     ``base`` holds the randomly chosen donor rows for rand/current-to-rand
     variants or the population-best donors for best variants;
     ``pairs_a``/``pairs_b`` hold each row's ``p`` difference pairs, shaped
-    ``(n, p, d)`` (``(p, d)`` for a single row).
+    ``(n, p, d)`` (``(p, d)`` for a single row).  ``F`` scales the summed
+    differences, ``CR`` is the binomial crossover rate and ``K`` the blend
+    factor of the current-to variants, ``None`` for the others.
     """
     target = np.asarray(target, dtype=np.float64)
-    return de_apply(target, base, pairs_a, pairs_b, params, bounds,
-                    de_crossover_mask(target.shape, params.CR, rng))
+    return de_apply(target, base, pairs_a, pairs_b, F, K, bounds,
+                    de_crossover_mask(target.shape, CR, rng))
 
 
 def de_crossover_mask(shape, cr: float, rng) -> np.ndarray:
@@ -186,23 +135,19 @@ def de_crossover_mask(shape, cr: float, rng) -> np.ndarray:
     return (r <= cr) | (np.arange(shape[-1]) == forced[..., None])
 
 
-def de_apply(target, base, pairs_a, pairs_b, params: DeParams, bounds, mask) -> np.ndarray:
+def de_apply(target, base, pairs_a, pairs_b, F, K, bounds, mask) -> np.ndarray:
     """DE trial vectors from donor rows and a crossover ``mask``; masked
     variables take the mutated value, the rest keep the target's."""
     target = np.asarray(target, dtype=np.float64)
     pairs_a = np.asarray(pairs_a, dtype=np.float64)
     pairs_b = np.asarray(pairs_b, dtype=np.float64)
-    if (
-        pairs_a.shape != pairs_b.shape
-        or pairs_a.ndim != target.ndim + 1
-        or pairs_a.shape[-2] != params.p
-    ):
-        raise ContractViolationError("DE difference pairs do not match the configured p")
+    if pairs_a.shape != pairs_b.shape or pairs_a.ndim != target.ndim + 1:
+        raise ContractViolationError("DE difference pairs must be shaped (n, p, d), target (n, d)")
     diff = (pairs_a - pairs_b).sum(axis=-2)
-    if params.is_current_to:
-        mutant = target + params.K * (base - target) + params.F * diff
+    if K is None:
+        mutant = base + F * diff
     else:
-        mutant = base + params.F * diff
+        mutant = target + K * (base - target) + F * diff
     return clamp(np.where(mask, mutant, target), bounds)
 
 
@@ -216,14 +161,15 @@ def pso_update(
     velocity,
     pbest,
     gbest,
-    params: PsoParams,
+    config,
     bounds,
     rng,
     particle_index=0,
     generation: int = 0,
     max_generations: int = 1,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One swarm step: velocity update, cap, move, bound damping, mutation.
+    """One swarm step of the MOPSO row ``config``: velocity update, cap,
+    move, bound damping, mutation.
 
     ``particle_index`` gives each row's index in the swarm, which picks the
     rows of the SMPSO (1 in 6) and OMOPSO (1 in 3 of each kind) mutation
@@ -236,33 +182,33 @@ def pso_update(
     span = hi - lo
     r1 = rng.random(x.shape)
     r2 = rng.random(x.shape)
-    v = params.w * velocity + params.c1 * r1 * (pbest - x) + params.c2 * r2 * (gbest - x)
-    if isinstance(params.mutation, SmpsoMutation) and params.mutation.constriction:
-        v = v * smpso_constriction(params.c1, params.c2)
-    v_max = params.v_max_ratio * span
+    c1, c2 = config.param("c1"), config.param("c2")
+    v = config.param("w") * velocity + c1 * r1 * (pbest - x) + c2 * r2 * (gbest - x)
+    if config.operator == SMPSO and config.param("constriction"):
+        v = v * smpso_constriction(c1, c2)
+    v_max = config.param("v_max") * span
     v = np.clip(v, -v_max, v_max)
     pos = x + v
     below = pos < lo
     above = pos > hi
     hit = below | above
     pos = np.where(below, lo, np.where(above, hi, pos))
-    v = np.where(hit, -params.v_change * v, v)
-    _pso_mutation(pos, params, bounds, rng, np.asarray(particle_index), generation, max_generations)
+    v = np.where(hit, -config.param("v_change") * v, v)
+    _pso_mutation(pos, config, bounds, rng, np.asarray(particle_index), generation, max_generations)
     return v, pos
 
 
-def _pso_mutation(pos, params, bounds, rng, index, generation, max_generations):
+def _pso_mutation(pos, config, bounds, rng, index, generation, max_generations):
     """Mutate the stripe rows of ``pos`` in place."""
-    scheme = params.mutation
-    if isinstance(scheme, SmpsoMutation):
+    if config.operator == SMPSO:
         # polynomial mutation on a fixed 1-in-6 stripe of the swarm
         rows = index % 6 == 0
-        pm = PmParams(eta=scheme.eta_pm, p_m=1.0 / pos.shape[-1])
-        pos[rows] = polynomial_mutation(pos[rows], pm, bounds, rng)
-    elif isinstance(scheme, OmopsoMutation):
+        p_m = 1.0 / pos.shape[-1]
+        pos[rows] = polynomial_mutation(pos[rows], config.param("pm_eta"), p_m, bounds, rng)
+    elif config.operator == OMOPSO:
         uniform = index % 3 == 0
         nonuniform = index % 3 == 1
-        pos[uniform] = _uniform_mutation(pos[uniform], scheme.b, bounds, rng)
+        pos[uniform] = _uniform_mutation(pos[uniform], config.param("b"), bounds, rng)
         pos[nonuniform] = _nonuniform_mutation(pos[nonuniform], bounds, rng, generation, max_generations)
 
 

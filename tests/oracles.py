@@ -13,13 +13,7 @@ import numpy as np
 from moeapap import operators
 from moeapap._seeding import rng_for
 from moeapap.algorithms import RunResult
-from moeapap.algorithms.common import (
-    init_population,
-    n_donors,
-    pick_donors,
-    shuffled_pools,
-    variation_params,
-)
+from moeapap.algorithms.common import init_population, pick_donors, shuffled_pools
 from moeapap.algorithms.moead import simplex_weights, tchebycheff, tchebycheff_weights
 from moeapap.core import SolutionSet, crowding_truncate_indices, nondominated_indices
 
@@ -288,12 +282,12 @@ class ListArchive:
         return np.array([self.X[groups[c][p]] for c, p in zip(chosen, picks)])
 
 
-def sbx_both_children(x1, x2, params, bounds, U):
+def sbx_both_children(x1, x2, eta, bounds, U):
     """Both SBX children on pre-drawn uniforms ``U = (crossing, spread,
     exchange)``, each spelled out from the spread factor ``beta``."""
     cross = U[0] < 0.5
     r = U[1]
-    exponent = 1.0 / (1.0 + params.eta)
+    exponent = 1.0 / (1.0 + eta)
     beta = np.where(r <= 0.5, (2.0 * r) ** exponent, (1.0 / (2.0 - 2.0 * r)) ** exponent)
     c1 = 0.5 * ((1.0 + beta) * x1 + (1.0 - beta) * x2)
     c2 = 0.5 * ((1.0 - beta) * x1 + (1.0 + beta) * x2)
@@ -304,20 +298,20 @@ def sbx_both_children(x1, x2, params, bounds, U):
     return operators.clamp(c1, bounds), operators.clamp(c2, bounds)
 
 
-def pm_every_variable(x, params, bounds, U):
+def pm_every_variable(x, eta, p_m, bounds, U):
     """Polynomial mutation on pre-drawn uniforms ``U = (application,
     perturbation)``, every branch computed on every variable."""
     lo = bounds[:, 0]
     hi = bounds[:, 1]
     span = hi - lo
-    apply = U[0] < params.p_m
+    apply = U[0] < p_m
     r = U[1]
     with np.errstate(divide="ignore", invalid="ignore"):
         d_up = np.where(span > 0, (hi - x) / span, 0.0)
         d_down = np.where(span > 0, (x - lo) / span, 0.0)
-    exponent = 1.0 / (params.eta + 1.0)
-    low_branch = (2.0 * r + (1.0 - 2.0 * r) * d_up ** (params.eta + 1.0)) ** exponent - 1.0
-    high_branch = 1.0 - (2.0 * (1.0 - r) + (2.0 * r - 1.0) * d_down ** (params.eta + 1.0)) ** exponent
+    exponent = 1.0 / (eta + 1.0)
+    low_branch = (2.0 * r + (1.0 - 2.0 * r) * d_up ** (eta + 1.0)) ** exponent - 1.0
+    high_branch = 1.0 - (2.0 * (1.0 - r) + (2.0 * r - 1.0) * d_down ** (eta + 1.0)) ** exponent
     delta = np.where(r <= 0.5, low_branch, high_branch)
     return operators.clamp(np.where(apply, x + delta * span, x), bounds)
 
@@ -344,9 +338,11 @@ def moead_one_child_at_a_time(problem, config, budget, seed):
     F = problem.evaluate(X)
     evaluations = n
     ideal = F.min(axis=0)
-    sbx, pm, de = variation_params(config, problem.n_vars)
 
     d = problem.n_vars
+    params = dict(config.params)
+    sbx_pm = config.operator == "sbx_pm"
+    p = params.get("p")
     in_neighborhood = np.zeros((n, n), dtype=bool)
     np.put_along_axis(in_neighborhood, neighbors, True, axis=1)
     not_self = ~np.eye(n, dtype=bool)
@@ -354,25 +350,26 @@ def moead_one_child_at_a_time(problem, config, budget, seed):
     late_ideal_moves = 0
     for generation in range(budget.max_generations):
         pools = np.where((rng.random(n) < ps)[:, None], in_neighborhood, True)
-        if de is None:
+        if sbx_pm:
             mates = pick_donors(pools, 2, rng)
             U_sbx = rng.random((3, n, d))
             U_pm = rng.random((2, n, d))
         else:
-            donors = pick_donors(pools & not_self, n_donors(de), rng)
-            masks = operators.de_crossover_mask((n, d), de.CR, rng)
+            # a base row and p difference pairs: MOEA/D has no best/ rows
+            donors = pick_donors(pools & not_self, 2 * p + 1, rng)
+            masks = operators.de_crossover_mask((n, d), params["CR"], rng)
         orders = shuffled_pools(pools, rng)
         pool_sizes = pools.sum(axis=1)
         for i in range(n):
-            if de is None:
+            if sbx_pm:
                 k1, k2 = mates[i]
-                child, _ = sbx_both_children(X[k1], X[k2], sbx, bounds, U_sbx[:, i])
-                child = pm_every_variable(child, pm, bounds, U_pm[:, i])
+                child, _ = sbx_both_children(X[k1], X[k2], params["eta_sbx"], bounds, U_sbx[:, i])
+                child = pm_every_variable(child, params["eta_pm"], 1.0 / d, bounds, U_pm[:, i])
             else:
                 picked = donors[i]
                 child = operators.de_apply(
-                    X[i], X[picked[0]], X[picked[1:de.p + 1]], X[picked[de.p + 1:]],
-                    de, bounds, masks[i],
+                    X[i], X[picked[0]], X[picked[1:p + 1]], X[picked[p + 1:]],
+                    params["F"], params.get("K"), bounds, masks[i],
                 )
             f_child = problem.evaluate(child[None])[0]
             evaluations += 1

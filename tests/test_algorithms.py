@@ -94,6 +94,8 @@ class TestConfigSpace:
         with pytest.raises(ConfigurationError):
             AlgorithmConfig.make("NSGA2", "sbx_pm", eta_sbx=10)
         with pytest.raises(ConfigurationError):
+            AlgorithmConfig.make("NSGA2", "current_to_rand_p", F=0.5, CR=0.5, p=1)  # no K
+        with pytest.raises(ConfigurationError):
             nsga2_sbx(bogus=1)
 
     def test_fingerprint_stability(self):
@@ -220,14 +222,12 @@ class TestNsga2:
         X = init_population(p, 24, rng)
         F = p.evaluate(X)
         ranks = nds_ranks(np.ascontiguousarray(F))
-        sbx = operators.SbxParams(eta=15)
-        pm = operators.PmParams(eta=20, p_m=1 / 30)
         prev_best = F.min(axis=0)
         for _ in range(12):
             crowd = crowding_by_front(F, ranks)
             parents = X[binary_tournament(ranks, crowd, 24, rng)]
-            c1, c2 = operators.sbx_crossover(parents[0::2], parents[1::2], sbx, p.bounds, rng)
-            children = operators.polynomial_mutation(np.vstack((c1, c2)), pm, p.bounds, rng)
+            c1, c2 = operators.sbx_crossover(parents[0::2], parents[1::2], 15, p.bounds, rng)
+            children = operators.polynomial_mutation(np.vstack((c1, c2)), 20, 1 / 30, p.bounds, rng)
             Fc = p.evaluate(children)
             Xu = np.vstack((X, children))
             Fu = np.vstack((F, Fc))

@@ -204,6 +204,28 @@ def test_construct_rejects_zero_searches_per_iter(tmp_path, tiny_manifest, capsy
     assert not (tmp_path / "pf.json").exists()
 
 
+def test_construct_reports_an_empty_portfolio(tmp_path, capsys):
+    # the one candidate scores 0 (its MOEA/D neighbourhood exceeds the
+    # lattice), so no member is inserted: the report still says so, on stdout
+    # and in --report, and no portfolio file is written
+    manifest = tmp_path / "wfg4.json"
+    manifest.write_text(json.dumps({
+        "format": "moeapap-manifest", "version": 1,
+        "problems": [{"name": "WFG4", "pop_size": 12, "max_generations": 2, "seeds": [1]}],
+    }))
+    rc = main(["construct", "--manifest", str(manifest), "--out", str(tmp_path / "pf.json"),
+               "--report", str(tmp_path / "report.txt"), "--k", "1", "--searches-per-iter", "1",
+               "--budget-per-search", "1", "--pop-size", "12", "--max-gens", "2", "--seed", "0"])
+    assert rc == 2
+    out, err = capsys.readouterr()
+    assert json.loads(err) == {"error": "ConfigurationError",
+                               "message": "construction produced an empty portfolio"}
+    assert out == (tmp_path / "report.txt").read_text()
+    assert "MOEAD/current_to_rand_p#0dc806 marginal=0.000000" in out
+    assert "neighborSize 48 exceeds the population of 10 subproblems" in out
+    assert not (tmp_path / "pf.json").exists()
+
+
 def test_manifest_listing_a_problem_twice_rejected(tmp_path, capsys):
     # zdt1 and ZDT1 are one problem; the second entry used to replace the
     # first one's member-analysis row
