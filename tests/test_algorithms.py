@@ -94,8 +94,6 @@ class TestConfigSpace:
         with pytest.raises(ConfigurationError):
             AlgorithmConfig.make("NSGA2", "sbx_pm", eta_sbx=10)
         with pytest.raises(ConfigurationError):
-            AlgorithmConfig.make("NSGA2", "current_to_rand_p", F=0.5, CR=0.5, p=1)  # no K
-        with pytest.raises(ConfigurationError):
             nsga2_sbx(bogus=1)
 
     def test_fingerprint_stability(self):

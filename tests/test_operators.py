@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from moeapap import operators
 from moeapap._seeding import rng_for
 from moeapap.algorithms import AlgorithmConfig
-from moeapap.core import ContractViolationError
+from moeapap.core import ConfigurationError, ContractViolationError
 
 from .oracles import pm_every_variable, sbx_both_children
 
@@ -186,6 +186,13 @@ class TestDeMutation:
             [0.2], [0.8], [[0.0]], [[0.0]], 0.0, 1.0, 0.5, unit_bounds(1), rng
         )
         assert out[0] == pytest.approx(0.2 + 0.5 * (0.8 - 0.2))
+
+    def test_k_required_for_current_to(self):
+        # de_mutation reads K=None as a rand/best variant, so a current-to row
+        # must be refused where it is built rather than run without its blend
+        for variant in ("current_to_rand_p", "current_to_best_p"):
+            with pytest.raises(ConfigurationError):
+                AlgorithmConfig.make("NSGA2", variant, F=0.5, CR=0.5, p=1)
 
     def test_pair_count_checked(self):
         # the two pair blocks differ in their number of pairs, or lack the pair axis
