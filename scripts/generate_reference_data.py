@@ -2,7 +2,11 @@
 """Regenerate the shipped reference fronts and objective-box metadata.
 
 Writes one ``<problem>_front.txt`` per problem plus one ``<suite>_boxes.json``
-per suite into ``DATA_DIR`` (``src/moeapap/problems/data/``).  Deterministic;
+per suite into ``DATA_DIR`` (``src/moeapap/problems/data/``).  Each box entry
+is ``{"box": [[ideal, upper], ...], "hv_star": x}``: ``hv_star`` is the
+hypervolume of the problem's front, clipped to the box, with the box's upper
+corner as reference point, computed here by the package's own kernel so that
+the package computes no reference hypervolume at run time.  Deterministic;
 rerunning reproduces the files byte for byte.
 
 Fronts with a closed-form parameterization are sampled on deterministic
@@ -24,6 +28,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 import numpy as np  # noqa: E402
 
 from moeapap.core import nondominated_indices  # noqa: E402
+from moeapap.indicators import clip_to_box, hypervolume  # noqa: E402
 from moeapap.problems import UnsupportedProblemError, available_problems, get_problem, wfg  # noqa: E402
 
 DATA_DIR = pathlib.Path(__file__).resolve().parents[1] / "src" / "moeapap" / "problems" / "data"
@@ -253,12 +258,13 @@ def objective_box_from_front(name: str, front: np.ndarray) -> np.ndarray:
 
 def main() -> None:
     DATA_DIR.mkdir(parents=True, exist_ok=True)
-    boxes: dict[str, dict[str, list]] = {}
+    boxes: dict[str, dict[str, dict]] = {}
     for name in available_problems():
         problem = get_problem(name)
         front = sample_reference_front(name, COUNTS[problem.m])
         box = objective_box_from_front(name, front)
-        boxes.setdefault(problem.suite, {})[name] = [list(pair) for pair in box.tolist()]
+        hv_star = hypervolume(clip_to_box(front, box), box[:, 1])
+        boxes.setdefault(problem.suite, {})[name] = {"box": box.tolist(), "hv_star": hv_star}
         path = DATA_DIR / f"{name.lower()}_front.txt"
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(f"# {name} m={problem.m}\n")

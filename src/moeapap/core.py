@@ -114,13 +114,11 @@ def _drop_least_crowded(F, k: int) -> np.ndarray:
     objectives = []  # (span, before, after, gaps, values) per ranged objective
     for column, order, span, gaps in _kernels.crowding_gaps(F):
         dist += gaps
-        ranked = order.tolist()
-        before = [-1] * n
-        after = [-1] * n
-        for a, b in zip(ranked, ranked[1:]):
-            after[a] = b
-            before[b] = a
-        objectives.append((float(span), before, after, gaps.tolist(), column.tolist()))
+        before = np.full(n, -1, dtype=np.int64)
+        after = before.copy()
+        before[order[1:]] = order[:-1]
+        after[order[:-1]] = order[1:]
+        objectives.append((float(span), before.tolist(), after.tolist(), gaps.tolist(), column.tolist()))
     contributions = [objective[3] for objective in objectives]
     dist = dist.tolist()
     heap = list(zip(dist, range(n)))

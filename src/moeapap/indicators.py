@@ -4,9 +4,10 @@ used to compare solution sets across problems.
 
 The normalized metrics work against a fixed per-problem context: the
 objective box [ideal, upper] provides both the reference point (upper
-corner) and the total volume, and the hypervolume of the reference front is
-computed once.  Points outside the box are clipped so that every set gets a
-defined, comparable score.
+corner) and the total volume, and the reference front's hypervolume
+``hv_star`` ships beside the box, computed once by
+``scripts/generate_reference_data.py``.  Points outside the box are clipped
+so that every set gets a defined, comparable score.
 """
 
 from __future__ import annotations
@@ -108,29 +109,20 @@ class HvContext:
     hv_all: float
 
     @classmethod
-    def from_front(cls, front, objective_box) -> "HvContext":
-        box = np.asarray(objective_box, dtype=np.float64)
-        if box.ndim != 2 or box.shape[1] != 2 or not (box[:, 0] < box[:, 1]).all():
-            raise ConfigurationError("objective box must be per-objective [ideal, upper] pairs")
-        ref = box[:, 1].copy()
-        hv_all = float(np.prod(box[:, 1] - box[:, 0]))
-        hv_star = hypervolume(clip_to_box(front, box), ref)
-        if hv_star <= 0.0:
-            raise ConfigurationError("reference front has zero hypervolume in its box")
-        if hv_star > hv_all * (1.0 + 1e-12):
-            raise ConfigurationError("reference front hypervolume exceeds the box volume")
-        return cls(ref, box, hv_star, hv_all)
-
-    @classmethod
     def for_problem(cls, name: str) -> "HvContext":
-        """The named problem's context, built once per process and shared;
-        its arrays are read-only."""
+        """The named problem's context from its shipped box and ``hv_star``,
+        built once per process and shared; its arrays are read-only."""
         key = problems.get_problem(name).name
         if key not in _PROBLEM_CONTEXTS:
-            ctx = cls.from_front(problems.reference_front(key), problems.objective_box(key))
-            ctx.reference_point.flags.writeable = False
-            ctx.objective_box.flags.writeable = False
-            _PROBLEM_CONTEXTS[key] = ctx
+            box, hv_star = problems.reference_box(key)
+            hv_all = float(np.prod(box[:, 1] - box[:, 0]))
+            # the box files come from outside the program
+            if not isinstance(hv_star, float) or not 0.0 < hv_star <= hv_all:
+                raise ConfigurationError(f"{key}: recorded hv_star {hv_star!r} is not in (0, {hv_all!r}]")
+            ref = box[:, 1].copy()
+            ref.flags.writeable = False
+            box.flags.writeable = False
+            _PROBLEM_CONTEXTS[key] = cls(ref, box, hv_star, hv_all)
         return _PROBLEM_CONTEXTS[key]
 
 

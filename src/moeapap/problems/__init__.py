@@ -3,8 +3,9 @@
 Problem dimensions are fixed to the experiment configuration (ZDT1-3 use 30
 variables, ZDT4/6 ten, ZDT5 eleven binary substrings, DTLZ eleven, WFG
 twelve with a 4+8 position/distance split, UF thirty) and cannot be
-overridden.  Reference fronts and objective boxes ship as plain-text data
-files; regenerate them with ``scripts/generate_reference_data.py``.
+overridden.  Reference fronts and objective boxes, each box with its front's
+hypervolume ``hv_star``, ship as plain-text data files; regenerate them with
+``scripts/generate_reference_data.py``.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ __all__ = [
     "UnsupportedProblemError",
     "available_problems",
     "get_problem",
-    "objective_box",
+    "reference_box",
     "reference_front",
 ]
 
@@ -185,13 +186,15 @@ def _suite_boxes(suite: str) -> dict:
     return json.loads(text)
 
 
-def objective_box(name: str) -> np.ndarray:
-    """Per-objective [ideal, upper] ranges for the normalized HV metrics."""
+def reference_box(name: str) -> tuple[np.ndarray, float]:
+    """Per-objective [ideal, upper] ranges for the normalized HV metrics, and
+    ``hv_star`` as recorded beside them: the hypervolume of the problem's
+    front in that box, which :meth:`HvContext.for_problem` checks."""
     problem = get_problem(name)
-    boxes = _suite_boxes(problem.suite)
-    if problem.name not in boxes:
+    entry = _suite_boxes(problem.suite).get(problem.name)
+    if entry is None:
         raise ConfigurationError(f"no objective box recorded for {problem.name}")
-    box = np.asarray(boxes[problem.name], dtype=np.float64)
+    box = np.asarray(entry["box"], dtype=np.float64)
     if box.shape != (problem.m, 2) or not (box[:, 0] < box[:, 1]).all():
         raise ConfigurationError(f"invalid objective box metadata for {problem.name}")
-    return box
+    return box, entry.get("hv_star")

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
+from moeapap import _kernels, indicators, problems
 from moeapap.core import ConfigurationError, SolutionSet
-from moeapap.problems import objective_box, reference_front
 from moeapap.indicators import (
     HvContext,
     UnsupportedDimensionError,
@@ -114,9 +114,17 @@ class TestIgd:
 
 
 def _toy_ctx():
-    front = np.array([[0.0, 1.0], [0.25, 0.5], [0.5, 0.25], [1.0, 0.0]])
+    # the front [[0, 1], [0.25, 0.5], [0.5, 0.25], [1, 0]] dominates 3.5 of
+    # the box's 4 square units
     box = np.array([[0.0, 2.0], [0.0, 2.0]])
-    return HvContext.from_front(front, box)
+    return HvContext(box[:, 1].copy(), box, 3.5, 4.0)
+
+
+def _context_from_entry(monkeypatch, entry):
+    # ZDT1's context built afresh from ``entry`` in place of its shipped one
+    monkeypatch.setattr(indicators, "_PROBLEM_CONTEXTS", {})
+    monkeypatch.setattr(problems, "_suite_boxes", lambda suite: {"ZDT1": entry})
+    return HvContext.for_problem("ZDT1")
 
 
 class TestRatios:
@@ -161,9 +169,45 @@ class TestRatios:
         with_outlier = ihvr([[0.5, 0.5], [5.0, 5.0]], ctx)
         assert with_outlier == pytest.approx(inside)
 
-    def test_zero_hv_star_rejected(self):
+    def test_zero_hv_star_rejected(self, monkeypatch):
         with pytest.raises(ConfigurationError):
-            HvContext.from_front(np.array([[2.0, 2.0]]), np.array([[0.0, 2.0], [0.0, 2.0]]))
+            _context_from_entry(monkeypatch, {"box": [[0.0, 1.0], [0.0, 10.0]], "hv_star": 0.0})
+
+    @pytest.mark.parametrize("entry", [
+        {"box": [[0.0, 1.0], [0.0, 10.0]]},
+        {"box": [[0.0, 1.0], [0.0, 10.0]], "hv_star": None},
+        {"box": [[0.0, 1.0], [0.0, 10.0]], "hv_star": "9.5"},
+        {"box": [[0.0, 1.0], [0.0, 10.0]], "hv_star": -1.0},
+        {"box": [[0.0, 1.0], [0.0, 10.0]], "hv_star": float("nan")},
+        {"box": [[0.0, 1.0], [0.0, 10.0]], "hv_star": 10.000000000000002},
+        {"box": [[0.0, 1.0], [1.0, 1.0]], "hv_star": 0.5},
+        {"box": [[0.0, 1.0]], "hv_star": 0.5},
+    ])
+    def test_invalid_box_entry_rejected(self, entry, monkeypatch):
+        # the box files come from outside the program: a missing hv_star, one
+        # outside (0, hv_all] and a malformed box are refused
+        with pytest.raises(ConfigurationError):
+            _context_from_entry(monkeypatch, entry)
+
+    def test_largest_hv_star_accepted(self, monkeypatch):
+        ctx = _context_from_entry(monkeypatch, {"box": [[0.0, 1.0], [0.0, 10.0]], "hv_star": 10.0})
+        assert (ctx.hv_star, ctx.hv_all) == (10.0, 10.0)
+
+    def test_contexts_computed_from_no_front(self, monkeypatch):
+        # every context is read from shipped numbers: no hypervolume kernel
+        # runs and no reference front is loaded
+        def refuse(*args):
+            raise AssertionError("a context build computed a hypervolume or loaded a front")
+
+        monkeypatch.setattr(indicators, "_PROBLEM_CONTEXTS", {})
+        monkeypatch.setattr(_kernels, "hv2d", refuse)
+        monkeypatch.setattr(_kernels, "hv3d", refuse)
+        monkeypatch.setattr(problems, "reference_front", refuse)
+        for name in problems.available_problems():
+            box, hv_star = problems.reference_box(name)
+            ctx = HvContext.for_problem(name)
+            assert np.array_equal(ctx.objective_box, box)
+            assert ctx.hv_star == hv_star
 
     def test_problem_context_loads(self):
         ctx = HvContext.for_problem("ZDT1")
@@ -177,10 +221,10 @@ class TestRatios:
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[0] = 0.0
-        fresh = HvContext.from_front(reference_front("WFG4"), objective_box("WFG4"))
-        assert np.array_equal(ctx.reference_point, fresh.reference_point)
-        assert np.array_equal(ctx.objective_box, fresh.objective_box)
-        assert (ctx.hv_star, ctx.hv_all) == (fresh.hv_star, fresh.hv_all)
+        box, hv_star = problems.reference_box("WFG4")
+        assert np.array_equal(ctx.reference_point, box[:, 1])
+        assert np.array_equal(ctx.objective_box, box)
+        assert (ctx.hv_star, ctx.hv_all) == (hv_star, float(np.prod(box[:, 1] - box[:, 0])))
 
     def test_solution_set_inputs(self):
         ctx = _toy_ctx()

@@ -9,12 +9,13 @@ import pytest
 from moeapap._kernels import nd_mask
 from moeapap._seeding import rng_for
 from moeapap.core import ContractViolationError
+from moeapap.indicators import clip_to_box, hypervolume
 from moeapap.problems import (
     _BOUNDS_EPS,
     UnsupportedProblemError,
     available_problems,
     get_problem,
-    objective_box,
+    reference_box,
     reference_front,
 )
 from moeapap.problems.wfg import _correct_to_01, _r_nonsep, upper_bounds, wfg_evaluate
@@ -320,30 +321,37 @@ class TestReferenceFronts:
     @pytest.mark.parametrize("name", ALL_NAMES)
     def test_shipped_fronts_nondominated_and_boxed(self, name):
         front = reference_front(name)
-        box = objective_box(name)
+        box, _ = reference_box(name)
         assert nd_mask(np.ascontiguousarray(front)).all()
         assert (front >= box[:, 0] - 1e-12).all()
         assert (front <= box[:, 1] + 1e-12).all()
         assert (box[:, 0] < box[:, 1]).all()
+
+    @pytest.mark.parametrize("name", ALL_NAMES)
+    def test_shipped_hv_star_is_front_hypervolume(self, name):
+        # hv_star is the hypervolume of the shipped front in its box, as the
+        # package's own kernel computes it, to the last bit
+        box, hv_star = reference_box(name)
+        assert hv_star == hypervolume(clip_to_box(reference_front(name), box), box[:, 1])
 
     def test_discrete_fronts_full(self):
         assert reference_front("ZDT5").shape[0] == 31
         assert reference_front("UF5").shape[0] == 21
 
     def test_zdt1_box_values(self):
-        box = objective_box("ZDT1")
+        box, _ = reference_box("ZDT1")
         assert box[:, 0] == pytest.approx([0.0, 0.0])
         assert box[:, 1] == pytest.approx([1.0, 10.0])
 
     def test_dtlz2_ideal(self):
-        box = objective_box("DTLZ2")
+        box, _ = reference_box("DTLZ2")
         assert box[:, 0] == pytest.approx([0.0, 0.0])
 
     @pytest.mark.slow
     @pytest.mark.parametrize("name", ALL_NAMES)
     def test_box_contains_random_evaluations(self, name):
         p = get_problem(name)
-        box = objective_box(name)
+        box, _ = reference_box(name)
         rng = rng_for("containment", name)
         X = p.bounds[:, 0] + rng.random((10_000, p.n_vars)) * (p.bounds[:, 1] - p.bounds[:, 0])
         F = p.evaluate(X)
