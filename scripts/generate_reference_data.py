@@ -4,10 +4,13 @@
 Writes one ``<problem>_front.txt`` per problem plus one ``<suite>_boxes.json``
 per suite into ``DATA_DIR`` (``src/moeapap/problems/data/``).  Each box entry
 is ``{"box": [[ideal, upper], ...], "hv_star": x}``: ``hv_star`` is the
-hypervolume of the problem's front, clipped to the box, with the box's upper
-corner as reference point, computed here by the package's own kernel so that
-the package computes no reference hypervolume at run time.  Deterministic;
-rerunning reproduces the files byte for byte.
+hypervolume of the problem's Pareto front in the box, with the box's upper
+corner as reference point, so that the package computes no reference
+hypervolume at run time.  Where ``UNDOMINATED_VOLUMES`` holds the analytic
+volume of the box part the true front leaves undominated (WFG4-9, UF8-10),
+``hv_star`` is the box volume minus that; elsewhere it is the hypervolume of
+the sampled front, clipped to the box, by the package's own kernel.
+Deterministic; rerunning reproduces the files byte for byte.
 
 Fronts with a closed-form parameterization are sampled on deterministic
 grids; fronts that are only piecewise optimal (ZDT3, DTLZ7, UF6, WFG) are
@@ -246,10 +249,29 @@ UPPER_BOUNDS: dict[str, tuple[float, ...]] = {
 }
 
 
+# Analytic volume of the part of a box floored at 0 that the true front
+# leaves undominated.  WFG4-9 share the front (f1/2)^2 + (f2/4)^2 + (f3/6)^2
+# = 1 (Huband, Hingston, Barone & While 2006, IEEE TEC), an ellipsoid octant
+# of volume 8*pi.  UF8 and UF10 share the unit-sphere octant, pi/6.  UF9's two
+# planar pieces leave 5*s^2/8 undominated in the slice f3 = 1 - s, 5/24 over
+# all slices (Zhang et al. 2008, the CEC 2009 test instances).
+UNDOMINATED_VOLUMES: dict[str, float] = {
+    **{f"WFG{i}": 8.0 * np.pi for i in range(4, 10)},
+    "UF8": np.pi / 6.0,
+    "UF9": 5.0 / 24.0,
+    "UF10": np.pi / 6.0,
+}
+
+
 def objective_box_from_front(name: str, front: np.ndarray) -> np.ndarray:
     """Combine front minima (floored to one decimal) with the static upper
-    bounds into the per-objective [ideal, upper] box."""
-    ideal = np.floor(front.min(axis=0) * 10.0) / 10.0
+    bounds into the per-objective [ideal, upper] box.  A front with an
+    analytic volume reaches 0 on every objective, which its sample may miss,
+    so its box floors at 0."""
+    if name in UNDOMINATED_VOLUMES:
+        ideal = np.zeros(front.shape[1])
+    else:
+        ideal = np.floor(front.min(axis=0) * 10.0) / 10.0
     box = np.column_stack((ideal, np.asarray(UPPER_BOUNDS[name])))
     if not (box[:, 0] < box[:, 1]).all():
         raise ValueError(f"degenerate objective box for {name}: {box}")
@@ -263,7 +285,10 @@ def main() -> None:
         problem = get_problem(name)
         front = sample_reference_front(name, COUNTS[problem.m])
         box = objective_box_from_front(name, front)
-        hv_star = hypervolume(clip_to_box(front, box), box[:, 1])
+        if name in UNDOMINATED_VOLUMES:
+            hv_star = float(np.prod(box[:, 1] - box[:, 0])) - UNDOMINATED_VOLUMES[name]
+        else:
+            hv_star = hypervolume(clip_to_box(front, box), box[:, 1])
         boxes.setdefault(problem.suite, {})[name] = {"box": box.tolist(), "hv_star": hv_star}
         path = DATA_DIR / f"{name.lower()}_front.txt"
         with open(path, "w", encoding="utf-8", newline="\n") as fh:

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from moeapap import _kernels, indicators, problems
+from moeapap.algorithms import AlgorithmConfig, run
+from moeapap.cli import default_manifest
 from moeapap.core import ConfigurationError, SolutionSet
+from moeapap.experiments import load_manifest
 from moeapap.indicators import (
     HvContext,
     UnsupportedDimensionError,
@@ -230,3 +233,15 @@ class TestRatios:
         ctx = _toy_ctx()
         s = SolutionSet(np.array([[0.5, 0.5]]))
         assert ihvr(s, ctx) == ihvr(np.array([[0.5, 0.5]]), ctx)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name", [f"WFG{i}" for i in range(4, 10)] + ["UF8", "UF9", "UF10"])
+def test_suite_run_scores_at_most_one_on_analytic_fronts(name):
+    # where hv_star is the true front's hypervolume no set can score above 1:
+    # a fixed NSGA-II run at the packaged manifests' budget
+    budgets = {entry.name: entry.budget for which in ("train", "test")
+               for entry in load_manifest(default_manifest(which)).entries}
+    config = AlgorithmConfig.make("NSGA2", "sbx_pm", eta_sbx=20, eta_pm=20)
+    result = run(config, problems.get_problem(name), budgets[name], 1)
+    assert ihvr(result.solution_set, HvContext.for_problem(name)) <= 1.0
