@@ -192,9 +192,9 @@ def reference_box(name: str) -> tuple[np.ndarray, float]:
     front in that box, which :meth:`HvContext.for_problem` checks."""
     problem = get_problem(name)
     entry = _suite_boxes(problem.suite).get(problem.name)
-    if entry is None:
-        raise ConfigurationError(f"no objective box recorded for {problem.name}")
-    box = np.asarray(entry["box"], dtype=np.float64)
+    if not isinstance(entry, dict):
+        raise ConfigurationError(f"no objective box entry recorded for {problem.name}")
+    box = np.asarray(entry.get("box", ()), dtype=np.float64)
     if box.shape != (problem.m, 2) or not (box[:, 0] < box[:, 1]).all():
         raise ConfigurationError(f"invalid objective box metadata for {problem.name}")
     return box, entry.get("hv_star")

@@ -185,16 +185,15 @@ class TestRatios:
         {"box": [[0.0, 1.0], [0.0, 10.0]], "hv_star": 10.000000000000002},
         {"box": [[0.0, 1.0], [1.0, 1.0]], "hv_star": 0.5},
         {"box": [[0.0, 1.0]], "hv_star": 0.5},
+        {"hv_star": 0.5},
+        [[0.0, 1.0], [0.0, 10.0]],
     ])
     def test_invalid_box_entry_rejected(self, entry, monkeypatch):
         # the box files come from outside the program: a missing hv_star, one
-        # outside (0, hv_all] and a malformed box are refused
+        # outside (0, hv_all], a malformed or missing box and an entry that is
+        # a bare box are refused
         with pytest.raises(ConfigurationError):
             _context_from_entry(monkeypatch, entry)
-
-    def test_largest_hv_star_accepted(self, monkeypatch):
-        ctx = _context_from_entry(monkeypatch, {"box": [[0.0, 1.0], [0.0, 10.0]], "hv_star": 10.0})
-        assert (ctx.hv_star, ctx.hv_all) == (10.0, 10.0)
 
     def test_contexts_computed_from_no_front(self, monkeypatch):
         # every context is read from shipped numbers: no hypervolume kernel
